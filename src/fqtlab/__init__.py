@@ -21,9 +21,9 @@ from .irreducibles import (count_irreducibles, degree_sum,
                            enumerate_monic_irreducibles, irreducible_product,
                            product_identity_check)
 from .linalg import kernel_basis, kernel_vector, matrix_rank
-from .poly import (NEG_INF, Poly, crt, format_poly, format_poly_compact,
-                   monic_polys_of_degree, parse_poly, poly_gcd, poly_xgcd,
-                   polys_up_to)
+from .poly import (NEG_INF, CRTBasis, Poly, crt, format_poly,
+                   format_poly_compact, monic_polys_of_degree, parse_poly,
+                   poly_gcd, poly_xgcd, polys_up_to)
 from .ratfunc import RatFunc, lagrange_interpolate
 from .relations import (DegreeBoundCert, FitReport, LinearAnsatz, LinearCaps,
                         PipelineReport, RelationQ, ScheduleReport,

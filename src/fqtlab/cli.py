@@ -128,12 +128,12 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _parse_gens(field, text: str) -> tuple[Poly, ...]:
+def _parse_gens(field, text: str, budget: int) -> tuple[Poly, ...]:
     if text.lstrip().startswith("["):
         literals = json.loads(text)
     else:
         literals = text.split(",")
-    return tuple(parse_poly(field, lit) for lit in literals)
+    return tuple(parse_poly(field, lit, budget) for lit in literals)
 
 
 def _ansatz_to_obj(ansatz: relations.LinearAnsatz, field) -> dict:
@@ -249,7 +249,7 @@ def _cmd_degree_bound(args, budgets):
 
 def _cmd_linear_relation(args, budgets):
     table = _load_table(args.table)
-    u = parse_poly(table.field, args.U)
+    u = parse_poly(table.field, args.U, budgets["degree"])
     if args.caps:
         a, b, c, d = _parse_ints(args.caps, 4, "--caps")
         caps = relations.LinearCaps(a, b, c, d)
@@ -300,7 +300,7 @@ def _cmd_vanishing_check(args, budgets):
 
 def _cmd_delta_lab(args, budgets):
     field = _resolve_field(args)
-    u = parse_poly(field, args.U)
+    u = parse_poly(field, args.U, budgets["degree"])
     rows = []
     skipped = 0
     if args.sweep:
@@ -331,7 +331,8 @@ def _cmd_delta_lab(args, budgets):
 
 def _cmd_sunit_enum(args, budgets):
     field = _resolve_field(args)
-    spec = sunit.GroupSpec(generators=_parse_gens(field, args.gens))
+    gens = _parse_gens(field, args.gens, budgets["degree"])
+    spec = sunit.GroupSpec(generators=gens)
     sols = sunit.enumerate_solutions(spec, args.E,
                                      budget=budgets["enumeration"])
     return {"generators": spec.generators, "E": args.E,
@@ -340,7 +341,8 @@ def _cmd_sunit_enum(args, budgets):
 
 def _cmd_sunit_orbits(args, budgets):
     field = _resolve_field(args)
-    spec = sunit.GroupSpec(generators=_parse_gens(field, args.gens))
+    gens = _parse_gens(field, args.gens, budgets["degree"])
+    spec = sunit.GroupSpec(generators=gens)
     sols = sunit.enumerate_solutions(spec, args.E,
                                      budget=budgets["enumeration"])
     report = sunit.orbit_reduce(sols, spec)
@@ -353,8 +355,8 @@ def _cmd_sunit_orbits(args, budgets):
 
 def _cmd_large_factor(args, budgets):
     field = _resolve_field(args)
-    a = parse_poly(field, args.A)
-    u = parse_poly(field, args.U)
+    a = parse_poly(field, args.A, budgets["degree"])
+    u = parse_poly(field, args.U, budgets["degree"])
     report = sunit.find_large_factor(a, u, args.M_floor,
                                      range(1, args.n + 1),
                                      budget=budgets["degree"])
@@ -365,7 +367,7 @@ def _cmd_pipeline(args, budgets):
     table = _load_table(args.table)
     i, j, k = _parse_ints(args.bounds, 3, "--bounds")
     bounds = relations.TriDegreeBounds(i, j, k)
-    u = parse_poly(table.field, args.U)
+    u = parse_poly(table.field, args.U, budgets["degree"])
     caps = None
     if args.caps:
         a, b, c, d = _parse_ints(args.caps, 4, "--caps")

@@ -5,7 +5,9 @@ For an input B of degree n, every monic irreducible P of degree <= n already
 constrains the value mod P: it must agree with the value at B mod P, which
 was assigned earlier.  The CRT lift R of those residues has degree below
 dsum(n) = deg(prod P), and the value is then set to R + prod P, pinning
-deg g(B) = dsum(n), inside [q^n, 2*q^n).
+deg g(B) = dsum(n), inside [q^n, 2*q^n).  All inputs of degree n share the
+same moduli, so one CRT basis is built per degree level and every row of
+that level is lifted through it.
 
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded
 from .functable import FuncTable, verify_p3
 from .irreducibles import enumerate_monic_irreducibles, irreducible_product
-from .poly import Poly, crt, polys_up_to
+from .poly import CRTBasis, Poly, crt, polys_up_to
 
 DEFAULT_DEGREE_BUDGET = 1 << 14
 
@@ -67,13 +69,14 @@ def build_counterexample(field, D: int,
     irreds: list[Poly] = []
     for n in range(1, D + 1):
         irreds.extend(enumerate_monic_irreducibles(field, n))
-        modulus = irreducible_product(field, n)
+        basis = CRTBasis(irreds)
+        modulus = basis.modulus
         base = field.q ** n
         for k in range(base, base * field.q):
             b = Poly.from_index(field, k)
             pairs = tuple((p, b % p) for p in irreds)
             residues = [values[rp] % p for p, rp in pairs]
-            r = crt(residues, irreds)
+            r = crt(residues, basis)
             value = r + modulus
             values[b] = value
             rows.append(TraceRow(b=b, residue_pairs=pairs, crt_value=r,

@@ -11,7 +11,6 @@ bytes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +22,19 @@ from .poly import NEG_INF, Poly, format_poly_compact, parse_poly, polys_up_to
 DEFAULT_ENUM_BUDGET = 1 << 20
 
 
+def _check_domain_size(field, D: int, n: int):
+    """Raise unless n == q^(D+1), the size of the degree-<= D domain.
+
+    q^(D+1) >= 2^(D+1) > n as soon as D+1 >= n.bit_length(), so such a D
+    is rejected without computing the power; a table file's D could make
+    that power astronomically large.
+    """
+    if D + 1 >= n.bit_length() or field.q ** (D + 1) != n:
+        raise ValueError(
+            "table must cover the full domain: expected %d^%d entries, got %d"
+            % (field.q, D + 1, n))
+
+
 class FuncTable:
     """Immutable-by-convention map from all A with deg A <= D to F_q[t]."""
 
@@ -31,11 +43,7 @@ class FuncTable:
     def __init__(self, field: FiniteField, D: int, values: dict):
         if D < 0:
             raise ValueError("D must be >= 0")
-        size = field.q ** (D + 1)
-        if len(values) != size:
-            raise ValueError(
-                "table must cover the full domain: expected %d entries, got %d"
-                % (size, len(values)))
+        _check_domain_size(field, D, len(values))
         for a, v in values.items():
             if a.field != field or v.field != field:
                 raise ValueError("table entries from a different field")
@@ -119,10 +127,14 @@ class FuncTable:
         fo = obj["field"]
         field = FiniteField(fo["p"], fo["e"],
                             tuple(fo["modulus"]) if fo.get("modulus") else None)
+        D = obj["D"]
+        if not isinstance(D, int) or D < 0:
+            raise ValueError("table D must be an integer >= 0, got %r" % (D,))
+        _check_domain_size(field, D, len(obj["values"]))
         vals = {}
         for a_txt, v_txt in obj["values"]:
             vals[parse_poly(field, a_txt)] = parse_poly(field, v_txt)
-        return cls(field, obj["D"], vals)
+        return cls(field, D, vals)
 
     @classmethod
     def from_json(cls, text: str) -> "FuncTable":
@@ -180,16 +192,13 @@ def verify_p3(table: FuncTable, max_violations: int = 100,
     Each residue class is compared against its canonically least member, so
     a class is clean iff all pairs within it agree.  Violations are collected
     exhaustively (up to max_violations retained) rather than fail-fast.
+    `threads` is accepted and ignored: the scan is pure Python and GIL-bound,
+    so a thread pool only made it slower.
     """
     mods = []
     for d in range(1, table.D + 1):
         mods.extend(enumerate_monic_irreducibles(table.field, d))
-    if threads > 1 and len(mods) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda p: _p3_scan_modulus(table, p), mods))
-    else:
-        chunks = [_p3_scan_modulus(table, p) for p in mods]
-    violations = [v for chunk in chunks for v in chunk]
+    violations = [v for p in mods for v in _p3_scan_modulus(table, p)]
     violations.sort(key=lambda v: (v.modulus.sort_key(), v.a.sort_key(),
                                    v.base.sort_key()))
     count = len(violations)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import NotCoprime, PolyParseError
+from .errors import BudgetExceeded, NotCoprime, PolyParseError
 from .field import FiniteField
 
 NEG_INF = float("-inf")
@@ -393,41 +393,67 @@ def poly_xgcd(a: Poly, b: Poly):
     return r0.scaled(inv), u0.scaled(inv), v0.scaled(inv)
 
 
+class CRTBasis:
+    """Chinese-remainder data for one list of pairwise coprime moduli P_i.
+
+    Built once, lifted many times: the constructor checks coprimality and
+    stores, for each P_i, the cofactor C_i = M/P_i (M = prod P_i) and
+    u_i = C_i^(-1) mod P_i.  `lift` then costs one small product and
+    reduction per modulus and one multiply by C_i, with no gcd work.
+    """
+
+    __slots__ = ("modulus", "_terms")
+
+    def __init__(self, moduli):
+        moduli = list(moduli)
+        if not moduli:
+            raise ValueError("need at least one modulus")
+        for m in moduli:
+            if m.is_zero():
+                raise ZeroDivisionError("zero modulus")
+        for i in range(len(moduli)):
+            for j in range(i + 1, len(moduli)):
+                if poly_gcd(moduli[i], moduli[j]).deg > 0:
+                    raise NotCoprime(
+                        "moduli %d and %d share a nonconstant factor" % (i, j),
+                        (i, j))
+        total = Poly.one(moduli[0].field)
+        for m in moduli:
+            total = total * m
+        terms = []
+        for m in moduli:
+            cof = total // m
+            # a unit modulus gets u = 0: every residue is congruent mod it
+            _, u, _ = poly_xgcd(cof % m, m)
+            terms.append((m, u, cof))
+        self.modulus = total
+        self._terms = tuple(terms)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def lift(self, residues) -> Poly:
+        """Unique R with R = residues[i] mod P_i and deg R < deg M."""
+        residues = list(residues)
+        if len(residues) != len(self._terms):
+            raise ValueError("residue/modulus count mismatch")
+        acc = Poly.zero(self.modulus.field)
+        # each summand has degree < deg P_i + deg C_i = deg M: no final mod M
+        for r, (m, u, cof) in zip(residues, self._terms):
+            acc = acc + ((r * u) % m) * cof
+        return acc
+
+
 def crt(residues, moduli) -> Poly:
     """Unique R with R = residues[i] mod moduli[i] and deg R < deg(prod).
 
     Moduli must be nonzero and pairwise coprime; a shared factor raises
-    NotCoprime naming the offending pair of indices.
+    NotCoprime naming the offending pair of indices.  `moduli` may be a
+    prebuilt CRTBasis, so many lifts over one moduli list share its set-up.
     """
-    residues = list(residues)
-    moduli = list(moduli)
-    if len(residues) != len(moduli):
-        raise ValueError("residue/modulus count mismatch")
-    if not moduli:
-        raise ValueError("need at least one modulus")
-    for m in moduli:
-        if m.is_zero():
-            raise ZeroDivisionError("zero modulus")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if poly_gcd(moduli[i], moduli[j]).deg > 0:
-                raise NotCoprime(
-                    "moduli %d and %d share a nonconstant factor" % (i, j),
-                    (i, j))
-    F = moduli[0].field
-    total = Poly.one(F)
-    for m in moduli:
-        total = total * m
-    acc = Poly.zero(F)
-    for r, m in zip(residues, moduli):
-        if m.is_constant():
-            continue  # every residue is congruent mod a unit
-        cof = total // m
-        g, u, _ = poly_xgcd(cof % m, m)
-        if g.deg != 0:
-            raise NotCoprime("modulus shares a factor with the others", (0, 0))
-        acc = (acc + (r % m) * u * cof) % total
-    return acc
+    if not isinstance(moduli, CRTBasis):
+        moduli = CRTBasis(moduli)
+    return moduli.lift(residues)
 
 
 # -- text formats ----------------------------------------------------------------
@@ -491,8 +517,12 @@ def _coeff_code(field, text):
     return c
 
 
-def parse_poly(field, text: str) -> Poly:
-    """Parse either text format; compact form is detected as valid JSON."""
+def parse_poly(field, text: str, max_degree: int | None = None) -> Poly:
+    """Parse either text format; compact form is detected as valid JSON.
+
+    With max_degree set, a human-form exponent above it raises
+    BudgetExceeded before the coefficient list is allocated.
+    """
     text = text.strip()
     if not text:
         raise PolyParseError("empty polynomial literal")
@@ -503,7 +533,7 @@ def parse_poly(field, text: str) -> Poly:
     if isinstance(entries, list):
         if field.e > 1 and entries and all(isinstance(v, int) for v in entries):
             # bare bracketed constant in human notation, e.g. "[1,1]" over F4
-            return _parse_human(field, text)
+            return _parse_human(field, text, max_degree)
         cs = []
         for entry in entries:
             if field.e == 1:
@@ -518,10 +548,10 @@ def parse_poly(field, text: str) -> Poly:
                                          % (field.e, entry))
                 cs.append(field.from_coords(entry))
         return Poly(field, cs)
-    return _parse_human(field, text)
+    return _parse_human(field, text, max_degree)
 
 
-def _parse_human(field, text: str) -> Poly:
+def _parse_human(field, text: str, max_degree: int | None) -> Poly:
     if text == "0":
         return Poly.zero(field)
     # split into signed terms, keeping bracketed vectors intact
@@ -557,6 +587,9 @@ def _parse_human(field, text: str) -> Poly:
         coeff_txt = m.group("coeff")
         has_t = "t" in term
         power = int(m.group("pow")) if m.group("pow") else (1 if has_t else 0)
+        if max_degree is not None and power > max_degree:
+            raise BudgetExceeded("term %r has degree %d > budget %d"
+                                 % (term, power, max_degree))
         try:
             code = _coeff_code(F, coeff_txt) if coeff_txt is not None else 1
         except (ValueError, PolyParseError) as exc:

@@ -213,25 +213,6 @@ def kpoly_eval(a, x: RatFunc) -> RatFunc:
     return out
 
 
-def kpoly_format(a) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c.is_zero():
-            continue
-        if i == 0:
-            parts.append(repr(c))
-        else:
-            xpow = "X" if i == 1 else "X^%d" % i
-            if c == RatFunc.one(c.field):
-                parts.append(xpow)
-            else:
-                parts.append("%s*%s" % (repr(c), xpow))
-    return " + ".join(parts)
-
-
 def lagrange_interpolate(points) -> tuple[RatFunc, ...]:
     """Unique K-poly of degree < len(points) through the given (x, y) pairs.
 

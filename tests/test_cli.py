@@ -82,6 +82,18 @@ def test_budget_exceeded_is_usage_error(capsys):
     assert "budget" in err
 
 
+def test_huge_exponent_literal_is_budget_error(capsys):
+    code, _, err = run_cli(capsys, "large-factor", "--q", "2", "--A", "t",
+                           "--U", "t^%d" % 10 ** 20, "--M-floor", "1",
+                           "--n", "1")
+    assert code == 1
+    assert "budget" in err
+    code, _, err = run_cli(capsys, "sunit-enum", "--q", "3",
+                           "--gens", "t,t^20", "--E", "1", "--budget", "16")
+    assert code == 1
+    assert "budget" in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1

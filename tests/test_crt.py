@@ -3,11 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqtlab import (FiniteField, NotCoprime, Poly, crt,
-                    enumerate_monic_irreducibles, poly_gcd)
+import fqtlab.poly
+from fqtlab import (CRTBasis, FiniteField, NotCoprime, Poly,
+                    build_counterexample, crt, enumerate_monic_irreducibles,
+                    poly_gcd)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
+F5 = FiniteField(5)
+F4 = FiniteField(2, 2)
 t = Poly(F2, [0, 1])
 one = Poly.one(F2)
 
@@ -96,3 +100,57 @@ def test_crt_result_is_unique():
     assert other % moduli[2] == residues[2]
     assert other.deg >= prod.deg
     assert poly_gcd(prod, prod).monic() == prod  # sanity on the product itself
+
+
+@given(st.sampled_from([F2, F3, F5, F4]).flatmap(crt_instance))
+@settings(max_examples=60, deadline=None)
+def test_crt_basis_agrees_with_list(inst):
+    residues, moduli = inst
+    basis = CRTBasis(moduli)
+    assert len(basis) == len(moduli)
+    assert crt(residues, basis) == crt(residues, moduli)
+    assert basis.lift(residues) == crt(residues, moduli)
+
+
+def test_crt_basis_reused_across_lifts():
+    moduli = [t, P2(1, 1), P2(1, 1, 1)]
+    basis = CRTBasis(moduli)
+    assert basis.modulus == moduli[0] * moduli[1] * moduli[2]
+    for k in range(16):
+        residues = [Poly.from_index(F2, k) % m for m in moduli]
+        assert crt(residues, basis) == crt(residues, moduli)
+
+
+def test_crt_basis_not_coprime():
+    with pytest.raises(NotCoprime) as info:
+        CRTBasis([P2(0, 1, 1), t])
+    assert info.value.pair == (0, 1)
+
+
+def test_crt_basis_argument_errors():
+    basis = CRTBasis([t, P2(1, 1)])
+    with pytest.raises(ValueError):
+        crt([one], basis)
+    with pytest.raises(ValueError):
+        basis.lift([one, one, one])
+    with pytest.raises(ValueError):
+        CRTBasis([])
+    with pytest.raises(ZeroDivisionError):
+        CRTBasis([t, Poly.zero(F2)])
+
+
+def test_build_counterexample_checks_coprimality_once_per_level(monkeypatch):
+    # q=2, D=5 has k_n = 2, 3, 5, 8, 14 monic irreducibles of degree <= n;
+    # one basis per level costs C(k_n, 2) gcds there, 133 in all.  A basis
+    # rebuilt per row would cost thousands.
+    calls = []
+    real_gcd = fqtlab.poly.poly_gcd
+
+    def counting_gcd(a, b):
+        calls.append(1)
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(fqtlab.poly, "poly_gcd", counting_gcd)
+    table, trace = build_counterexample(F2, 5)
+    assert len(trace.rows) == 62
+    assert len(calls) == 1 + 3 + 10 + 28 + 91 == 133

@@ -1,0 +1,49 @@
+"""CRT lifts checked against sympy's galoistools, an independent oracle.
+
+galoistools writes a polynomial over F_p as a list of ints, highest degree
+first.  Its `gf_crt` is the integer CRT, so the oracle here is `gf_rem`:
+the lift must reduce to each residue modulo each modulus.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fqtlab import (CRTBasis, FiniteField, Poly, crt,
+                    enumerate_monic_irreducibles)
+
+galoistools = pytest.importorskip("sympy.polys.galoistools")
+ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+
+
+def to_gf(a):
+    return [int(c) for c in reversed(a.coeffs)]
+
+
+@st.composite
+def lift_instance(draw):
+    field = FiniteField(draw(st.sampled_from([2, 3, 5, 7])))
+    pool = []
+    for d in (1, 2, 3):
+        pool.extend(enumerate_monic_irreducibles(field, d))
+    k = draw(st.integers(min_value=1, max_value=6))
+    moduli = draw(st.permutations(pool))[:k]
+    residues = [
+        Poly.from_index(field, draw(st.integers(min_value=0,
+                                                max_value=field.q ** 8)))
+        for _ in moduli
+    ]
+    return field, residues, moduli
+
+
+@given(lift_instance())
+@settings(max_examples=80, deadline=None)
+def test_crt_lift_matches_gf_rem(inst):
+    field, residues, moduli = inst
+    p = field.p
+    lift = crt(residues, CRTBasis(moduli))
+    total_deg = sum(m.deg for m in moduli)
+    assert lift.is_zero() or lift.deg < total_deg
+    for r, m in zip(residues, moduli):
+        assert galoistools.gf_irreducible_p(to_gf(m), p, ZZ)
+        assert (galoistools.gf_rem(to_gf(lift), to_gf(m), p, ZZ)
+                == galoistools.gf_rem(to_gf(r), to_gf(m), p, ZZ))

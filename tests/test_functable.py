@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import fqtlab.functable
 from fqtlab import (FiniteField, FuncTable, NEG_INF, Poly, TableDomainError,
                     build_counterexample, growth_profile, verify_p3)
 
@@ -86,6 +87,31 @@ def test_verify_p3_detects_corruption():
 def test_verify_p3_threads_agree():
     tab, _ = build_counterexample(F2, 3)
     assert verify_p3(tab, threads=4) == verify_p3(tab, threads=1)
+
+
+class _SmallPowersOnly(int):
+    """A field size that refuses to be raised to a large power."""
+
+    def __pow__(self, e):
+        assert e < 64, "computed q^%d" % e
+        return int(self) ** e
+
+
+def test_table_rejects_inconsistent_D_without_computing_q_power(monkeypatch):
+    field = FiniteField(2)
+    field.q = _SmallPowersOnly(2)
+    monkeypatch.setattr(fqtlab.functable, "FiniteField",
+                        lambda *args: field)
+    obj = square_table(F2, 2).to_obj()
+    for D in (10 ** 100, 3, 1):
+        with pytest.raises(ValueError, match="full domain"):
+            FuncTable.from_obj(dict(obj, D=D))
+    with pytest.raises(ValueError, match="full domain"):
+        FuncTable(field, 10 ** 100, {Poly.zero(F2): Poly.zero(F2)})
+    for D in (-1, "2", 2.0):
+        with pytest.raises(ValueError):
+            FuncTable.from_obj(dict(obj, D=D))
+    assert FuncTable.from_obj(obj) == square_table(F2, 2)
 
 
 def test_growth_square_table():

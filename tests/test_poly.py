@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqtlab.errors import PolyParseError
+import tracemalloc
+
+from fqtlab.errors import BudgetExceeded, PolyParseError
 from fqtlab.field import FiniteField
 from fqtlab.poly import (NEG_INF, Poly, format_poly, format_poly_compact,
                          monic_polys_of_degree, parse_poly, poly_gcd,
@@ -208,6 +210,22 @@ def test_parse_rejects_garbage():
     for bad in ["t^", "x+1", "t^-1", "2", "[1,2]", "t^2++1", ""]:
         with pytest.raises(PolyParseError):
             parse_poly(F2, bad)
+
+
+def test_parse_caps_exponent_before_allocating():
+    assert parse_poly(F2, "t^16+1", max_degree=16) == one + t ** 16
+    # 10^20 does not even fit a list length: without the cap this fails
+    # with OverflowError instead of allocating
+    with pytest.raises(BudgetExceeded):
+        parse_poly(F2, "t^%d+1" % 10 ** 20, max_degree=1 << 14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            parse_poly(F3, "2*t^10000000", max_degree=1 << 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 10^7-entry coefficient list is never built
 
 
 def test_coefficient_validation():
