@@ -18,7 +18,10 @@ import sys
 from fractions import Fraction
 
 from . import counterexample, deltalab, relations, sunit
-from .errors import BudgetExceeded, ExactDivisionError, FqtError
+from .errors import (DEFAULT_DEGREE_BUDGET as DEGREE_BUDGET,
+                     DEFAULT_ENUM_BUDGET as ENUM_BUDGET,
+                     DEFAULT_MATRIX_BUDGET as MATRIX_BUDGET,
+                     BudgetExceeded, ExactDivisionError, FqtError)
 from .field import FiniteField, prime_factors
 from .functable import FuncTable, growth_profile, verify_p3
 from .irreducibles import (count_irreducibles, degree_sum,
@@ -26,10 +29,6 @@ from .irreducibles import (count_irreducibles, degree_sum,
                            product_identity_check)
 from .poly import NEG_INF, Poly, format_poly, format_poly_compact, parse_poly
 from .ratfunc import RatFunc
-
-DEGREE_BUDGET = 1 << 14
-MATRIX_BUDGET = 1 << 22
-ENUM_BUDGET = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,8 +194,7 @@ def _cmd_build_counterexample(args, budgets):
     field = _resolve_field(args)
     table, trace = counterexample.build_counterexample(
         field, args.D, budget=budgets["degree"])
-    report = counterexample.certify_counterexample(table, trace,
-                                                   threads=args.threads)
+    report = counterexample.certify_counterexample(table, trace)
     result = {"table": table, "certification": report}
     if args.trace:
         result["trace"] = trace
@@ -205,7 +203,7 @@ def _cmd_build_counterexample(args, budgets):
 
 def _cmd_verify_p3(args, budgets):
     table = _load_table(args.table)
-    report = verify_p3(table, threads=args.threads)
+    report = verify_p3(table)
     return report, report.ok, True
 
 
@@ -291,8 +289,7 @@ def _cmd_fit(args, budgets):
 
 def _cmd_vanishing_check(args, budgets):
     table = _load_table(args.table)
-    report = relations.check_vanishing_lemma(table, args.C1,
-                                             threads=args.threads)
+    report = relations.check_vanishing_lemma(table, args.C1)
     # only a counterexample to "hypotheses force zero" is a failure
     ok = not (report.hypotheses_ok and not report.all_zero)
     return report, ok, True
@@ -405,6 +402,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--budget", type=int, default=None)
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--out", default=None)
+    # accepted and unused: every command runs in one thread
     common.add_argument("--threads", type=int, default=1)
     common.add_argument("--trace", action="store_true")
     fieldf = argparse.ArgumentParser(add_help=False)

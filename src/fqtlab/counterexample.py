@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded
 from .functable import FuncTable, verify_p3
 from .irreducibles import enumerate_monic_irreducibles, irreducible_product
 from .poly import CRTBasis, Poly, crt, polys_up_to
-
-DEFAULT_DEGREE_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,8 @@ def build_counterexample(field, D: int,
     return table, ConstructionTrace(D=D, rows=tuple(rows))
 
 
-def certify_counterexample(table: FuncTable, trace: ConstructionTrace,
-                           threads: int = 1) -> CertifyReport:
+def certify_counterexample(table: FuncTable,
+                           trace: ConstructionTrace) -> CertifyReport:
     """Re-derive and audit a constructed table.
 
     Three independent gates: the congruence check over all monic irreducibles
@@ -96,7 +94,7 @@ def certify_counterexample(table: FuncTable, trace: ConstructionTrace,
     congruences against earlier entries).
     """
     field, q = table.field, table.field.q
-    p3 = verify_p3(table, threads=threads)
+    p3 = verify_p3(table)
 
     window_failures = []
     for a, v in table.items():

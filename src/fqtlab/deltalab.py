@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded
 from .factor import factor, radical
 from .field import prime_factors
 from .poly import Poly
-
-DEFAULT_DEGREE_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ class BudgetExceeded(FqtError):
     """An operation would materialize an object larger than its budget allows."""
 
 
+# Default budgets, each a cap on what one operation may materialize.
+DEFAULT_DEGREE_BUDGET = 1 << 14  # polynomial degree
+DEFAULT_ENUM_BUDGET = 1 << 20  # entries enumerated (table domains, solutions)
+DEFAULT_MATRIX_BUDGET = 1 << 22  # linear-algebra matrix entries
+
+
 class PolyParseError(FqtError, ValueError):
     """A polynomial literal could not be parsed."""
 

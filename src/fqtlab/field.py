@@ -6,24 +6,17 @@ coordinates in the power basis 1, x, ..., x^(e-1) of F_p[x]/(modulus), so
 integer order on codes agrees with comparing coordinate vectors from the
 highest basis index down.  That ordering convention is relied on everywhere
 else in the package.
+
+Extension fields are table-backed.  Addition and negation act on coordinates.
+Multiplication and inversion come from the cyclic unit group: with g its
+least generator, exp[i] = g^i and log inverts exp, so a*b = exp[log a + log b]
+and 1/a = exp[-log a], indices mod q-1.  The powers of g, the modulus search
+and the irreducibility check all run on the package's one F_p[x] core, `Poly`
+and `factor.is_irreducible`; those modules import this one, so they are
+imported inside the functions that use them.
 """
 
 from __future__ import annotations
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -41,93 +34,8 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# Minimal F_p[x] arithmetic on little-endian int lists, used only to validate
-# and search for extension moduli.  Dense Poly objects cannot be used here
-# because they are built on top of FiniteField.
-
-def _fp_trim(v):
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
-    db = len(b) - 1
-    if len(a) - 1 < db:
-        return [], _fp_trim(a)
-    inv_lb = pow(b[-1], p - 2, p) if p > 2 else b[-1]
-    q = [0] * (len(a) - db)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db]
-        if c:
-            f = (c * inv_lb) % p
-            q[i] = f
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - f * bj) % p
-    return _fp_trim(q), _fp_trim(a)
-
-
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p) if p > 2 else 1
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _fp_powmod(a, k, m, p):
-    r = [1]
-    a = _fp_divmod(a, m, p)[1]
-    while k:
-        if k & 1:
-            r = _fp_divmod(_fp_mul(r, a, p), m, p)[1]
-        a = _fp_divmod(_fp_mul(a, a, p), m, p)[1]
-        k >>= 1
-    return r
-
-
-def _fp_is_irreducible(f, p):
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    # x^(p^k) mod f for k = 1..n, via repeated p-th powering
-    x = [0, 1]
-    h = list(x)
-    powers = {}
-    for k in range(1, n + 1):
-        h = _fp_powmod(h, p, f, p)
-        powers[k] = list(h)
-    hx = list(powers[n])
-    # x^(p^n) must reduce to x
-    if _fp_trim([(c - d) % p for c, d in
-                 zip(hx + [0] * len(x), x + [0] * len(hx))]):
-        return False
-    for r in prime_factors(n):
-        g = powers[n // r]
-        diff = [(c - d) % p for c, d in
-                zip(g + [0] * len(x), x + [0] * len(g))]
-        if len(_fp_gcd(diff, f, p)) - 1 > 0:
-            return False
-    return True
+def _is_prime(n: int) -> bool:
+    return n >= 2 and prime_factors(n) == (n,)
 
 
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -137,15 +45,11 @@ def default_modulus(p: int, e: int) -> tuple[int, ...]:
     ascending base-p code order, which matches comparing coefficient tuples
     from the highest index down.
     """
-    for code in range(p ** e):
-        vec = []
-        k = code
-        for _ in range(e):
-            vec.append(k % p)
-            k //= p
-        vec.append(1)
-        if _fp_is_irreducible(vec, p):
-            return tuple(vec)
+    from .factor import is_irreducible
+    from .poly import monic_polys_of_degree
+    for f in monic_polys_of_degree(FiniteField(p), e):
+        if is_irreducible(f):
+            return f.coeffs
     raise AssertionError("no irreducible of degree %d over F_%d" % (e, p))
 
 
@@ -181,13 +85,16 @@ class FiniteField:
                 "extension fields are supported up to q = %d" % _EXT_TABLE_LIMIT)
         if modulus is None:
             modulus = default_modulus(p, e)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
-        if any(not (0 <= c < p) for c in modulus):
-            raise ValueError("modulus coefficients must be reduced mod p")
-        if not _fp_is_irreducible(list(modulus), p):
-            raise ValueError("modulus is reducible over F_%d" % p)
+        else:
+            modulus = tuple(int(c) for c in modulus)
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree e")
+            if any(not (0 <= c < p) for c in modulus):
+                raise ValueError("modulus coefficients must be reduced mod p")
+            from .factor import is_irreducible
+            from .poly import Poly
+            if not is_irreducible(Poly(FiniteField(p), modulus)):
+                raise ValueError("modulus is reducible over F_%d" % p)
         self.modulus = modulus
         self._build_tables()
 
@@ -207,31 +114,38 @@ class FiniteField:
         return a
 
     def _build_tables(self):
-        p, q, mod = self.p, self.q, list(self.modulus)
+        from .poly import Poly
+        p, q = self.p, self.q
         vecs = [self._digits(a) for a in range(q)]
         self._neg = tuple(self._encode([(-c) % p for c in v]) for v in vecs)
-        add = []
-        mul = []
-        for a in range(q):
-            va = vecs[a]
-            add.append(tuple(
-                self._encode([(x + y) % p for x, y in zip(va, vecs[b])])
-                for b in range(q)))
-            row = []
-            for b in range(q):
-                prod = _fp_divmod(_fp_mul(va, vecs[b], p), mod, p)[1]
-                prod = prod + [0] * (self.e - len(prod))
-                row.append(self._encode(prod))
-            mul.append(tuple(row))
-        self._add = tuple(add)
-        self._mul = tuple(mul)
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = tuple(inv)
+        self._add = tuple(
+            tuple(self._encode([(x + y) % p for x, y in zip(va, vb)])
+                  for vb in vecs)
+            for va in vecs)
+        # The unit group is cyclic of order q-1: take its least generator g,
+        # tabulate exp[i] = g^i and its inverse log, then a*b and 1/a are
+        # look-ups.  The modulus need not be primitive, so x may not be g.
+        Fp = FiniteField(p)
+        mod = Poly(Fp, self.modulus)
+        order = q - 1
+        cofactors = [order // r for r in prime_factors(order)]
+        one = Poly.one(Fp)
+        for a in range(2, q):
+            g = Poly(Fp, vecs[a])
+            if all(g.powmod(k, mod) != one for k in cofactors):
+                break
+        exp = []
+        h = one
+        for _ in range(order):
+            exp.append(self._encode(h.coeffs))
+            h = (h * g) % mod
+        log = [0] * q
+        for i, code in enumerate(exp):
+            log[code] = i
+        self._mul = ((0,) * q,) + tuple(
+            (0,) + tuple(exp[(log[a] + log[b]) % order] for b in range(1, q))
+            for a in range(1, q))
+        self._inv = (0,) + tuple(exp[-log[a] % order] for a in range(1, q))
 
     # -- arithmetic -----------------------------------------------------------
 

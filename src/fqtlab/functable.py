@@ -14,12 +14,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, TableDomainError
+from .errors import (DEFAULT_DEGREE_BUDGET, DEFAULT_ENUM_BUDGET,
+                     BudgetExceeded, TableDomainError)
 from .field import FiniteField
 from .irreducibles import degree_sum, enumerate_monic_irreducibles
 from .poly import NEG_INF, Poly, format_poly_compact, parse_poly, polys_up_to
 
-DEFAULT_ENUM_BUDGET = 1 << 20
+# Degree cap for human-form values in table files.  build_counterexample
+# refuses q^D > budget, so under the default budget its largest value, of
+# degree dsum(D) < 2*q^D, stays below this cap.
+_VALUE_DEGREE_CAP = 2 * DEFAULT_DEGREE_BUDGET
 
 
 def _check_domain_size(field, D: int, n: int):
@@ -133,7 +137,8 @@ class FuncTable:
         _check_domain_size(field, D, len(obj["values"]))
         vals = {}
         for a_txt, v_txt in obj["values"]:
-            vals[parse_poly(field, a_txt)] = parse_poly(field, v_txt)
+            vals[parse_poly(field, a_txt, max_degree=D)] = parse_poly(
+                field, v_txt, max_degree=_VALUE_DEGREE_CAP)
         return cls(field, D, vals)
 
     @classmethod
@@ -184,16 +189,13 @@ def _p3_scan_modulus(table: FuncTable, p: Poly) -> list[P3Violation]:
     return out
 
 
-def verify_p3(table: FuncTable, max_violations: int = 100,
-              threads: int = 1) -> P3Report:
+def verify_p3(table: FuncTable, max_violations: int = 100) -> P3Report:
     """Check f(a) = f(b) mod P whenever a = b mod P, over every monic
     irreducible P of degree <= D.
 
     Each residue class is compared against its canonically least member, so
     a class is clean iff all pairs within it agree.  Violations are collected
     exhaustively (up to max_violations retained) rather than fail-fast.
-    `threads` is accepted and ignored: the scan is pure Python and GIL-bound,
-    so a thread pool only made it slower.
     """
     mods = []
     for d in range(1, table.D + 1):

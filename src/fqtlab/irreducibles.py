@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BudgetExceeded
+from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded
 from .factor import is_irreducible
+from .field import prime_factors
 from .poly import Poly, monic_polys_of_degree
-
-DEFAULT_DEGREE_BUDGET = 1 << 14
 
 
 def _divisors(n: int) -> list[int]:
@@ -29,20 +28,10 @@ def _divisors(n: int) -> list[int]:
 
 
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    res = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            res = -res
-        d += 1 if d == 2 else 2
-    if n > 1:
-        res = -res
-    return res
+    ps = prime_factors(n)
+    if any(n % (r * r) == 0 for r in ps):
+        return 0
+    return (-1) ** len(ps)
 
 
 @lru_cache(maxsize=None)

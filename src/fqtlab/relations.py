@@ -22,15 +22,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ExactDivisionError
+from .errors import (DEFAULT_MATRIX_BUDGET, BudgetExceeded,
+                     ExactDivisionError)
 from .functable import FuncTable, verify_p3
 from .irreducibles import irreducible_product
 from .linalg import kernel_vector
 from .poly import NEG_INF, Poly, polys_up_to
 from .ratfunc import (RatFunc, kpoly, kpoly_divmod, kpoly_eval,
                       kpoly_from_polys, kpoly_neg, lagrange_interpolate)
-
-DEFAULT_MATRIX_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -425,12 +424,11 @@ class VanishingReport:
         return self.hypotheses_ok and self.all_zero
 
 
-def check_vanishing_lemma(table: FuncTable, c1: int,
-                          threads: int = 1) -> VanishingReport:
+def check_vanishing_lemma(table: FuncTable, c1: int) -> VanishingReport:
     if not (0 <= c1 <= table.D):
         raise ValueError("need 0 <= C1 <= D")
     field, q = table.field, table.field.q
-    p3 = verify_p3(table, threads=threads)
+    p3 = verify_p3(table)
     cap_bad = []
     floor_bad = []
     first_nonzero = None

@@ -16,13 +16,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded
+from .errors import (DEFAULT_DEGREE_BUDGET, DEFAULT_ENUM_BUDGET,
+                     BudgetExceeded)
 from .factor import factor
 from .poly import NEG_INF, Poly
 from .ratfunc import RatFunc
-
-DEFAULT_ENUM_BUDGET = 1 << 20
-DEFAULT_DEGREE_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)

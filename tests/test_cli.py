@@ -94,6 +94,16 @@ def test_huge_exponent_literal_is_budget_error(capsys):
     assert "budget" in err
 
 
+def test_table_file_literal_over_cap_is_budget_error(capsys, tmp_path):
+    obj = FuncTable.from_function(F2, 0, lambda a: a).to_obj()
+    obj["values"][1][1] = "t^5000000"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "verify-p3", "--table", str(path))
+    assert code == 1
+    assert "budget" in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1

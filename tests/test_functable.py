@@ -1,12 +1,13 @@
 """Function tables: storage, congruence verification, growth profiles."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import fqtlab.functable
-from fqtlab import (FiniteField, FuncTable, NEG_INF, Poly, TableDomainError,
-                    build_counterexample, growth_profile, verify_p3)
+from fqtlab import (BudgetExceeded, FiniteField, FuncTable, NEG_INF, Poly,
+                    TableDomainError, growth_profile, verify_p3)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -84,11 +85,6 @@ def test_verify_p3_detects_corruption():
     assert t in {v.a, v.base} or (v.a % t) == (t % t)
 
 
-def test_verify_p3_threads_agree():
-    tab, _ = build_counterexample(F2, 3)
-    assert verify_p3(tab, threads=4) == verify_p3(tab, threads=1)
-
-
 class _SmallPowersOnly(int):
     """A field size that refuses to be raised to a large power."""
 
@@ -112,6 +108,24 @@ def test_table_rejects_inconsistent_D_without_computing_q_power(monkeypatch):
         with pytest.raises(ValueError):
             FuncTable.from_obj(dict(obj, D=D))
     assert FuncTable.from_obj(obj) == square_table(F2, 2)
+
+
+def test_table_file_caps_human_literal_degrees():
+    obj = FuncTable.from_function(F2, 0, lambda a: Poly.zero(F2)).to_obj()
+    huge_value = dict(obj, values=[["0", "t^5000000"], ["1", "0"]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            FuncTable.from_obj(huge_value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 5*10^6-entry coefficient list is never built
+    with pytest.raises(BudgetExceeded):
+        FuncTable.from_obj(dict(obj, values=[["t^5", "0"], ["1", "0"]]))
+    # human form within the caps still loads
+    tab = FuncTable.from_obj(dict(obj, values=[["0", "t^5+1"], ["1", "t"]]))
+    assert tab.lookup(Poly.one(F2)) == t
 
 
 def test_growth_square_table():

@@ -279,11 +279,6 @@ def test_vanishing_zero_floor():
         check_vanishing_lemma(tab, 5)
 
 
-def test_vanishing_threads_agree():
-    tab, _ = build_counterexample(F2, 3)
-    assert check_vanishing_lemma(tab, 0, threads=4) == check_vanishing_lemma(tab, 0)
-
-
 # -- pigeonhole schedule ----------------------------------------------------------
 
 
