@@ -22,7 +22,7 @@ from .errors import (DEFAULT_DEGREE_BUDGET as DEGREE_BUDGET,
                      DEFAULT_ENUM_BUDGET as ENUM_BUDGET,
                      DEFAULT_MATRIX_BUDGET as MATRIX_BUDGET,
                      BudgetExceeded, ExactDivisionError, FqtError)
-from .field import FiniteField, prime_factors
+from .field import PRIME_LIMIT, FiniteField, is_prime
 from .functable import FuncTable, growth_profile, verify_p3
 from .irreducibles import (count_irreducibles, degree_sum,
                            enumerate_monic_irreducibles,
@@ -39,18 +39,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _integer_root(n: int, e: int) -> int:
+    """floor(n^(1/e)) by bisection."""
+    lo, hi = 1, 1 << (n.bit_length() // e + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** e <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _decompose_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError("q must be >= 2")
-    ps = prime_factors(q)
-    if len(ps) != 1:
-        raise ValueError("q = %d is not a prime power" % q)
-    p = ps[0]
-    e = 0
-    while q > 1:
-        q //= p
-        e += 1
-    return p, e
+    # no field of this size is supported: primes stop here, and extension
+    # fields far sooner
+    if q >= PRIME_LIMIT:
+        raise ValueError("q = %d is too large (must be below %d)"
+                         % (q, PRIME_LIMIT))
+    # q = p^e has one such representation; try every exponent the size allows
+    for e in range(q.bit_length(), 0, -1):
+        p = _integer_root(q, e)
+        if p ** e == q and is_prime(p):
+            return p, e
+    raise ValueError("q = %d is not a prime power" % q)
 
 
 def _resolve_field(args) -> FiniteField:
@@ -342,7 +356,7 @@ def _cmd_sunit_orbits(args, budgets):
     spec = sunit.GroupSpec(generators=gens)
     sols = sunit.enumerate_solutions(spec, args.E,
                                      budget=budgets["enumeration"])
-    report = sunit.orbit_reduce(sols, spec)
+    report = sunit.orbit_reduce(sols, spec, seed=args.seed)
     result = {"generators": spec.generators, "E": args.E,
               "solution_count": len(sols), "orbit_count": len(report.orbits),
               "rank": report.rank, "bound": report.bound,
@@ -356,7 +370,7 @@ def _cmd_large_factor(args, budgets):
     u = parse_poly(field, args.U, budgets["degree"])
     report = sunit.find_large_factor(a, u, args.M_floor,
                                      range(1, args.n + 1),
-                                     budget=budgets["degree"])
+                                     budget=budgets["degree"], seed=args.seed)
     return report, True, False
 
 

@@ -34,8 +34,36 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and prime_factors(n) == (n,)
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, Math. Comp. 2017).
+PRIME_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality of n < PRIME_LIMIT; larger n raise ValueError."""
+    if n >= PRIME_LIMIT:
+        raise ValueError("primality is only decided below %d" % PRIME_LIMIT)
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
@@ -67,7 +95,7 @@ class FiniteField:
     __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_inv", "_neg")
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError("p must be prime, got %r" % (p,))
         if e < 1:
             raise ValueError("extension degree must be >= 1")
@@ -116,12 +144,17 @@ class FiniteField:
     def _build_tables(self):
         from .poly import Poly
         p, q = self.p, self.q
-        vecs = [self._digits(a) for a in range(q)]
-        self._neg = tuple(self._encode([(-c) % p for c in v]) for v in vecs)
-        self._add = tuple(
-            tuple(self._encode([(x + y) % p for x, y in zip(va, vb)])
-                  for vb in vecs)
-            for va in vecs)
+        # Coordinatewise tables, one base-p digit at a time: with w = p^k
+        # and the tables known on codes below w, a code a + w*x (a < w) adds
+        # and negates digit x on top of them.
+        add, neg = [[0]], [0]
+        for k in range(self.e):
+            w = p ** k
+            add = [[v + w * ((x + y) % p) for y in range(p) for v in row]
+                   for x in range(p) for row in add]
+            neg = [v + w * (-x % p) for x in range(p) for v in neg]
+        self._add = tuple(map(tuple, add))
+        self._neg = tuple(neg)
         # The unit group is cyclic of order q-1: take its least generator g,
         # tabulate exp[i] = g^i and its inverse log, then a*b and 1/a are
         # look-ups.  The modulus need not be primitive, so x may not be g.
@@ -131,7 +164,7 @@ class FiniteField:
         cofactors = [order // r for r in prime_factors(order)]
         one = Poly.one(Fp)
         for a in range(2, q):
-            g = Poly(Fp, vecs[a])
+            g = Poly(Fp, self._digits(a))
             if all(g.powmod(k, mod) != one for k in cofactors):
                 break
         exp = []

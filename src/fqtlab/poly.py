@@ -10,29 +10,51 @@ highest index down.  Equivalently, polynomials of a fixed field are ordered
 by their index sum(code(c_i) * q^i), which `index`/`from_index` expose; all
 enumeration in the package walks indices ascending.
 
-Over GF(2) the heavy operations transparently run on bit-packed ints (one
-bit per coefficient), which keeps degree-few-hundred work instant.
+Multiplication and division pick a kernel by field kind and size; the
+results never depend on the choice.  GF(2) polynomials become bit-packed
+ints (one bit per coefficient) once len(a) + len(b) reaches _PACK_MIN_LEN.
+Other prime fields run loops on plain ints, reduced mod p once at the end.
+Once len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
+(Kronecker substitution), and once (quotient length)*deg(b) reaches
+_NEWTON_MIN_WORK a division by a divisor seen before takes its quotient
+from a Newton inverse of the reversed divisor, cached on the divisor.
+Extension fields run table-driven schoolbook loops.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
+from array import array
 
 from .errors import BudgetExceeded, NotCoprime, PolyParseError
 from .field import FiniteField
 
 NEG_INF = float("-inf")
 
-_PACK_MIN_LEN = 24  # below this, schoolbook is not worth the packing round-trip
+# Size crossovers between kernels, measured with timeit on random inputs
+# (p = 3, 7 and 10007 for the odd-p kernels).  A schoolbook loop costs one
+# step per pair of terms, so the odd-p switches are on that count: a
+# product of len(a)*len(b) terms, a division of (quotient length)*deg(b).
+# GF(2) bit-packing pays once len(a) + len(b) reaches _PACK_MIN_LEN.
+_PACK_MIN_LEN = 24
+# odd p: Kronecker multiply from _KRON_MIN_WORK term pairs on,
+_KRON_MIN_WORK = 100
+# and Newton division from _NEWTON_MIN_WORK, by a divisor seen before.
+_NEWTON_MIN_WORK = 256
+
+
+# -- GF(2): one bit per coefficient ------------------------------------------
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _pack2(coeffs) -> int:
-    n = 0
-    for i, c in enumerate(coeffs):
-        if c:
-            n |= 1 << i
-    return n
+    if not coeffs:
+        return 0
+    return int(bytes(reversed(coeffs)).translate(_TO_DIGITS), 2)
 
 
 def _mul2(x: int, y: int) -> int:
@@ -58,10 +80,126 @@ def _divmod2(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
+# -- prime fields: coefficient lists of plain ints ---------------------------
+#
+# Sums of products are left unreduced and taken mod p once at the end.  The
+# Kronecker kernel packs each factor into one int, a slot of s bytes per
+# coefficient, multiplies once and reads the slots back: no slot carries,
+# because a coefficient of the product is a sum of at most min(len) terms
+# below (p-1)^2.  Slots are rounded up to 1, 2, 4 or 8 bytes, so `array`
+# moves them at C speed; wider slots (large p) go through bytes.
+
+_SLOT_TYPES = {array(c).itemsize: c for c in "QLIHB"}
+_SWAP = sys.byteorder != "little"
+
+
+def _slot_bytes(n: int, p: int) -> int:
+    need = ((n * (p - 1) ** 2).bit_length() + 7) // 8
+    return next((s for s in (1, 2, 4, 8) if need <= s), need)
+
+
+def _kron_pack(cs, s: int) -> int:
+    code = _SLOT_TYPES.get(s)
+    if code is None:
+        return int.from_bytes(b"".join([c.to_bytes(s, "little") for c in cs]),
+                              "little")
+    slots = array(code, cs)
+    if _SWAP:
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _kron_mul(a, b, p: int, count: int) -> list:
+    """The first `count` coefficients of a*b over F_p, zero-padded."""
+    full = len(a) + len(b) - 1
+    s = _slot_bytes(min(len(a), len(b)), p)
+    x = _kron_pack(a, s)
+    n = min(count, full)
+    buf = (x * x if a is b else x * _kron_pack(b, s)).to_bytes(full * s,
+                                                              "little")
+    code = _SLOT_TYPES.get(s)
+    if code is None:
+        out = [int.from_bytes(buf[i:i + s], "little") % p
+               for i in range(0, n * s, s)]
+    else:
+        slots = array(code, buf[:n * s])
+        if _SWAP:
+            slots.byteswap()
+        out = [c % p for c in slots]
+    return out + [0] * (count - n)
+
+
+def _mul_p(a, b, p: int) -> list:
+    """a*b over F_p for nonempty coefficient sequences, reduced."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return [x * c % p for x in a]
+    if p > 2 and len(a) * len(b) >= _KRON_MIN_WORK:
+        return _kron_mul(a, b, p, len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(a, i):
+                out[j] += x * y
+    return [c % p for c in out]
+
+
+def _series_inverse(f, m: int, p: int, g=()) -> tuple:
+    """g with f*g = 1 mod t^m (f[0] != 0), extending a shorter such g.
+
+    Newton iteration (MCA section 9.1): if f*g = 1 + t^k*h mod t^(2k), then
+    g - t^k*(g*h) is the inverse mod t^(2k).
+    """
+    g = list(g) or [pow(f[0], -1, p)]
+    k = len(g)
+    while k < m:
+        k2 = min(2 * k, m)
+        h = _kron_mul(f[:k2], g, p, k2)[k:]
+        g += [-c % p for c in _kron_mul(g, h, p, k2 - k)]
+        k = k2
+    return tuple(g)
+
+
+def _divmod_p(a, b, p: int, inverse=None) -> tuple[list, list]:
+    """Quotient and remainder over F_p, len(a) >= len(b) > 0.
+
+    With `inverse` = 1/rev(b) mod t^m (or longer), m = len(a) - len(b) + 1
+    the quotient length, the quotient is one product (MCA section 9.1);
+    without it the schoolbook loop runs.
+    """
+    db = len(b) - 1
+    m = len(a) - db
+    if inverse is not None:
+        # rev(a) = rev(q)*rev(b) mod t^m; r = a - q*b needs only its terms
+        # below t^db, which come from the low terms of q and b
+        quot = _kron_mul(a[::-1][:m], inverse[:m], p, m)[::-1]
+        low = _mul_p(quot[:db], b[:db], p)
+        return quot, [(x - y) % p for x, y in zip(a[:db], low)]
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+    if not db:
+        return [c * inv % p for c in a], []
+    rem = list(a)
+    low = b[:db]
+    quot = [0] * m
+    for i in range(m - 1, -1, -1):
+        c = rem[i + db] % p
+        if c:
+            f = c * inv % p
+            quot[i] = f
+            f = p - f
+            for j, y in enumerate(low, i):
+                rem[j] += f * y
+    return quot, [x % p for x in rem[:db]]
+
+
 class Poly:
     """Immutable dense polynomial over a FiniteField."""
 
-    __slots__ = ("field", "coeffs", "_pk")
+    # Caches, filled on demand: _pk is the GF(2) bit-packed int, _rinv the
+    # odd-p Newton inverse 1/rev(self) mod t^k (see _rev_inverse).
+    __slots__ = ("field", "coeffs", "_pk", "_rinv")
 
     def __init__(self, field: FiniteField, coeffs=()):
         cs = [int(c) for c in coeffs]
@@ -73,7 +211,7 @@ class Poly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-        self._pk = None
+        self._pk = self._rinv = None
 
     @classmethod
     def _make(cls, field, coeffs: tuple) -> "Poly":
@@ -81,7 +219,7 @@ class Poly:
         obj = object.__new__(cls)
         obj.field = field
         obj.coeffs = coeffs
-        obj._pk = None
+        obj._pk = obj._rinv = None
         return obj
 
     @classmethod
@@ -161,7 +299,7 @@ class Poly:
         return (len(self.coeffs), tuple(reversed(self.coeffs)))
 
     def _check_same_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed-field polynomial operation")
 
     def __eq__(self, other):
@@ -197,11 +335,26 @@ class Poly:
 
     @classmethod
     def _from_packed(cls, field, n: int) -> "Poly":
-        cs = []
-        while n:
-            cs.append(n & 1)
-            n >>= 1
-        return cls._make(field, tuple(cs))
+        bits = bin(n)[:1:-1].encode().translate(_FROM_DIGITS) if n else b""
+        obj = cls._make(field, tuple(bits))
+        obj._pk = n
+        return obj
+
+    def _rev_inverse(self, m: int):
+        """1/rev(self) mod t^m for Newton division, or None the first time.
+
+        Computing the inverse costs a few divisions' worth of products, so
+        a divisor gets one only when it comes back: the first long division
+        by it runs the schoolbook loop and leaves a mark.
+        """
+        g = self._rinv
+        if g is None:
+            self._rinv = ()
+            return None
+        if len(g) < m:
+            g = self._rinv = _series_inverse(self.coeffs[::-1], m,
+                                             self.field.p, g)
+        return g
 
     def __add__(self, other):
         self._check_same_field(other)
@@ -243,9 +396,13 @@ class Poly:
     def __mul__(self, other):
         self._check_same_field(other)
         F = self.field
-        if F.q == 2 and len(self.coeffs) + len(other.coeffs) >= _PACK_MIN_LEN:
+        a, b = self.coeffs, other.coeffs
+        if F.e > 1 or not a or not b:
+            return self._schoolbook_mul(other)
+        if F.p == 2 and len(a) + len(b) >= _PACK_MIN_LEN:
             return Poly._from_packed(F, _mul2(self._packed(), other._packed()))
-        return self._schoolbook_mul(other)
+        # a product of nonzero polynomials over a field has a nonzero top term
+        return Poly._make(F, tuple(_mul_p(a, b, F.p)))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -264,14 +421,20 @@ class Poly:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if F.q == 2 and len(self.coeffs) >= _PACK_MIN_LEN:
-            q, r = _divmod2(self._packed(), other._packed())
-            return Poly._from_packed(F, q), Poly._from_packed(F, r)
-        a = list(self.coeffs)
-        bc = other.coeffs
+        a, bc = self.coeffs, other.coeffs
         db = len(bc) - 1
         if len(a) - 1 < db:
             return Poly.zero(F), self
+        if F.q == 2 and len(a) >= _PACK_MIN_LEN:
+            q, r = _divmod2(self._packed(), other._packed())
+            return Poly._from_packed(F, q), Poly._from_packed(F, r)
+        if F.e == 1:
+            m = len(a) - db
+            inverse = (other._rev_inverse(m) if F.p > 2
+                       and m * db >= _NEWTON_MIN_WORK else None)
+            q, r = _divmod_p(a, bc, F.p, inverse)
+            return Poly._make(F, tuple(q)), Poly._from_list(F, r)
+        a = list(a)
         inv_lb = F.inv(bc[-1])
         quot = [0] * (len(a) - db)
         for i in range(len(a) - db - 1, -1, -1):

@@ -39,13 +39,13 @@ class GroupSpec:
     def field(self):
         return self.generators[0].field
 
-    def rank(self) -> int:
+    def rank(self, seed: int = 0) -> int:
         """Rank of the factor-exponent lattice of the generators (constants
         contribute nothing; the constant-unit part is torsion)."""
         cols: dict[int, int] = {}
         rows = []
         for g in self.generators:
-            fl = factor(g)
+            fl = factor(g, seed)
             row: dict[int, Fraction] = {}
             for prime, mult in fl.factors:
                 idx = cols.setdefault(prime.index(), len(cols))
@@ -132,14 +132,14 @@ def enumerate_solutions(spec: GroupSpec, E: int,
     return out
 
 
-def _pth_root_ratfunc(v: RatFunc):
+def _pth_root_ratfunc(v: RatFunc, seed: int = 0):
     """Exact p-th root in F_q(t), or None when some factor multiplicity is
     not divisible by p."""
     field = v.num.field
     p = field.p
     parts = []
     for poly in (v.num, v.den):
-        fl = factor(poly)
+        fl = factor(poly, seed)
         if any(mult % p for _, mult in fl.factors):
             return None
         root = Poly.constant(field, field.pth_root(fl.unit))
@@ -166,9 +166,9 @@ class OrbitReport:
     ok: bool
 
 
-def orbit_reduce(solutions, spec: GroupSpec) -> OrbitReport:
+def orbit_reduce(solutions, spec: GroupSpec, seed: int = 0) -> OrbitReport:
     """Group solutions by repeated simultaneous p-th-root descent and compare
-    the orbit count against p^(2r) - 1.
+    the orbit count against p^(2r) - 1.  `seed` goes to every `factor` call.
 
     The count is box-relative: the search can only exhibit orbits, so ok
     means no overflow was observed, not that the global bound is attained.
@@ -178,10 +178,10 @@ def orbit_reduce(solutions, spec: GroupSpec) -> OrbitReport:
         x, y = pair.x.value, pair.y.value
         k = 0
         while True:
-            rx = _pth_root_ratfunc(x)
+            rx = _pth_root_ratfunc(x, seed)
             if rx is None:
                 break
-            ry = _pth_root_ratfunc(y)
+            ry = _pth_root_ratfunc(y, seed)
             if ry is None:
                 break
             x, y = rx, ry
@@ -190,7 +190,7 @@ def orbit_reduce(solutions, spec: GroupSpec) -> OrbitReport:
     orbits = tuple(
         SolutionOrbit(base_x=bx, base_y=by, members=tuple(members))
         for (bx, by), members in grouped.items())
-    r = spec.rank()
+    r = spec.rank(seed)
     bound = spec.field.p ** (2 * r) - 1
     return OrbitReport(orbits=orbits, rank=r, bound=bound,
                        ok=len(orbits) <= bound)
@@ -229,7 +229,8 @@ class LargeFactorReport:
 
 
 def find_large_factor(a: Poly, u: Poly, min_degree: int, n_range,
-                      budget: int = DEFAULT_DEGREE_BUDGET) -> LargeFactorReport:
+                      budget: int = DEFAULT_DEGREE_BUDGET,
+                      seed: int = 0) -> LargeFactorReport:
     if a.is_zero():
         raise ValueError("A must be nonzero")
     if u.deg < 1:
@@ -241,7 +242,7 @@ def find_large_factor(a: Poly, u: Poly, min_degree: int, n_range,
     field = u.field
     p = field.p
     pivot = mult_u = None
-    for prime, mult in factor(u).factors:
+    for prime, mult in factor(u, seed).factors:
         if mult % p:
             pivot, mult_u = prime, mult
             break
@@ -267,7 +268,7 @@ def find_large_factor(a: Poly, u: Poly, min_degree: int, n_range,
             continue
         dd = diff.deg
         dd = None if dd is NEG_INF else dd
-        parts = factor(diff).factors
+        parts = factor(diff, seed).factors
         max_deg = max((g.deg for g, _ in parts), default=0)
         ok = max_deg >= min_degree
         rows.append(ScanRow(n=n, in_s=in_s, diff_degree=dd,

@@ -133,6 +133,18 @@ def test_q_must_be_prime_power(capsys):
     assert "prime power" in err
 
 
+def test_q_large_prime_and_limits(capsys):
+    code, out, _ = run_cli(capsys, "dn", "--q", str(2**61 - 1), "--n", "1")
+    assert code == 0
+    assert envelope(out)["result"]["d_n"] == 2**61 - 1
+    for q, msg in (("561", "not a prime power"),
+                   (str(2**61 + 1), "not a prime power"),
+                   (str(10**30), "too large")):
+        code, _, err = run_cli(capsys, "dn", "--q", q, "--n", "1")
+        assert code == 1
+        assert msg in err
+
+
 def test_q_conflicts_with_p(capsys):
     code, _, err = run_cli(capsys, "dn", "--q", "4", "--p", "2", "--n", "2")
     assert code == 1
@@ -338,6 +350,48 @@ def test_large_factor(capsys):
     assert env["result"]["found"] is True
     assert env["result"]["n"] == 4
     assert env["result"]["witness"] == "t^2+t+1"
+
+
+# large-factor and sunit-orbits here reach factor's seeded random splitting
+SEEDED = [
+    ("delta-lab", "--q", "5", "--U", "t^2+t", "--n", "6"),
+    ("large-factor", "--q", "7", "--A", "t+3", "--U", "t", "--M-floor", "50",
+     "--n", "30"),
+    ("sunit-orbits", "--q", "7", "--gens", "t^25+3,t", "--E", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: argv[0])
+def test_reports_do_not_depend_on_seed(capsys, argv):
+    envs = []
+    for seed in (0, 7919):
+        code, out, _ = run_cli(capsys, *argv, "--seed", str(seed))
+        assert code == 0
+        env = envelope(out)
+        assert env["config"].pop("seed") == seed
+        envs.append(env)
+    assert envs[0] == envs[1]
+
+
+def test_seed_reaches_factor(capsys, monkeypatch):
+    factor_mod = sys.modules["fqtlab.factor"]
+    seeds, splits = [], []
+
+    def factor(a, seed=0):
+        seeds.append(seed)
+        return factor_mod.factor(a, seed)
+
+    def split_once(f, d, rng):
+        splits.append(d)
+        return real_split(f, d, rng)
+
+    real_split = factor_mod._split_once
+    monkeypatch.setattr(sys.modules["fqtlab.sunit"], "factor", factor)
+    monkeypatch.setattr(factor_mod, "_split_once", split_once)
+    for argv in SEEDED[1:]:
+        assert run_cli(capsys, *argv, "--seed", "7919")[0] == 0
+    assert seeds and set(seeds) == {7919}
+    assert splits
 
 
 def test_pipeline(capsys, cube_table_path, growth_table_path):

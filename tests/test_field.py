@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
-from fqtlab.field import FiniteField, default_modulus, prime_factors
+from fqtlab.field import (PRIME_LIMIT, FiniteField, default_modulus,
+                          is_prime, prime_factors)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -15,6 +18,35 @@ def test_prime_factors():
     assert prime_factors(12) == (2, 3)
     assert prime_factors(360) == (2, 3, 5)
     assert prime_factors(97) == (97,)
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == (n >= 2 and prime_factors(n) == (n,))
+               for n in range(20000))
+
+
+# Carmichael numbers fool the Fermat test for every coprime base; the rest
+# are strong pseudoprimes to base 2, to bases 2..23 and to bases 2..37
+PSEUDOPRIMES = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                2047, 3215031751, 3825123056546413051,
+                318665857834031151167461)
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_pseudoprimes_are_rejected(n):
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="p must be prime"):
+        FiniteField(n)
+
+
+def test_large_prime_fields_construct_quickly():
+    for p in (2**61 - 1, 2**64 - 59, 2**80 - 65):
+        start = time.perf_counter()
+        F = FiniteField(p)
+        assert time.perf_counter() - start < 0.1
+        assert F.mul(F.inv(12345), 12345) == 1
+    with pytest.raises(ValueError, match="only decided below"):
+        FiniteField(PRIME_LIMIT)
 
 
 def test_constructor_validation():
