@@ -22,7 +22,7 @@ from .errors import (DEFAULT_DEGREE_BUDGET as DEGREE_BUDGET,
                      DEFAULT_ENUM_BUDGET as ENUM_BUDGET,
                      DEFAULT_MATRIX_BUDGET as MATRIX_BUDGET,
                      BudgetExceeded, ExactDivisionError, FqtError)
-from .field import PRIME_LIMIT, FiniteField, is_prime
+from .field import FiniteField, is_prime
 from .functable import FuncTable, growth_profile, verify_p3
 from .irreducibles import (count_irreducibles, degree_sum,
                            enumerate_monic_irreducibles,
@@ -54,11 +54,6 @@ def _integer_root(n: int, e: int) -> int:
 def _decompose_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError("q must be >= 2")
-    # no field of this size is supported: primes stop here, and extension
-    # fields far sooner
-    if q >= PRIME_LIMIT:
-        raise ValueError("q = %d is too large (must be below %d)"
-                         % (q, PRIME_LIMIT))
     # q = p^e has one such representation; try every exponent the size allows
     for e in range(q.bit_length(), 0, -1):
         p = _integer_root(q, e)

@@ -214,13 +214,12 @@ class CrosscheckReport:
 
 
 def root_count_crosscheck(spec: DeltaSpec,
-                          budget: int = DEFAULT_DEGREE_BUDGET,
-                          seed: int = 0) -> CrosscheckReport:
-    """Recompute the radical degree from a full factorization (seeded as in
-    `factor`), and for U = t against the pure-arithmetic union count."""
+                          budget: int = DEFAULT_DEGREE_BUDGET) -> CrosscheckReport:
+    """Recompute the radical degree from a full factorization, and for U = t
+    against the pure-arithmetic union count."""
     prod = delta(spec, budget)
     d_rad = radical(prod).deg
-    fl = factor(prod, seed)
+    fl = factor(prod)
     d_fac = sum(g.deg for g, _ in fl.factors)
     union = None
     ok = d_rad == d_fac

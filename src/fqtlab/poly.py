@@ -15,10 +15,10 @@ results never depend on the choice.  GF(2) polynomials become bit-packed
 ints (one bit per coefficient) once len(a) + len(b) reaches _PACK_MIN_LEN.
 Other prime fields run loops on plain ints, reduced mod p once at the end.
 Once len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
-(Kronecker substitution), and once (quotient length)*deg(b) reaches
-_NEWTON_MIN_WORK a division by a divisor seen before takes its quotient
-from a Newton inverse of the reversed divisor, cached on the divisor.
-Extension fields run table-driven schoolbook loops.
+(Kronecker substitution).  `powmod` divides many products by one modulus:
+once (quotient length)*deg(modulus) reaches _NEWTON_MIN_WORK, it computes a
+Newton inverse of the reversed modulus once and takes every quotient from
+it.  Extension fields run table-driven schoolbook loops.
 """
 
 from __future__ import annotations
@@ -41,20 +41,23 @@ NEG_INF = float("-inf")
 _PACK_MIN_LEN = 24
 # odd p: Kronecker multiply from _KRON_MIN_WORK term pairs on,
 _KRON_MIN_WORK = 100
-# and Newton division from _NEWTON_MIN_WORK, by a divisor seen before.
-_NEWTON_MIN_WORK = 256
+# and Newton division in powmod from _NEWTON_MIN_WORK, where the inverse
+# it computes per call pays for itself at k = p <= 7, the exponent factoring
+# uses most (deg(modulus) about 23 to 28 there).
+_NEWTON_MIN_WORK = 640
 
 
 # -- GF(2): one bit per coefficient ------------------------------------------
 
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _pack2(coeffs) -> int:
-    if not coeffs:
-        return 0
-    return int(bytes(reversed(coeffs)).translate(_TO_DIGITS), 2)
+    n = 0
+    for i, c in enumerate(coeffs):
+        if c:
+            n |= 1 << i
+    return n
 
 
 def _mul2(x: int, y: int) -> int:
@@ -146,20 +149,20 @@ def _mul_p(a, b, p: int) -> list:
     return [c % p for c in out]
 
 
-def _series_inverse(f, m: int, p: int, g=()) -> tuple:
-    """g with f*g = 1 mod t^m (f[0] != 0), extending a shorter such g.
+def _series_inverse(f, m: int, p: int) -> list:
+    """g with f*g = 1 mod t^m (f[0] != 0).
 
     Newton iteration (MCA section 9.1): if f*g = 1 + t^k*h mod t^(2k), then
     g - t^k*(g*h) is the inverse mod t^(2k).
     """
-    g = list(g) or [pow(f[0], -1, p)]
-    k = len(g)
+    g = [pow(f[0], -1, p)]
+    k = 1
     while k < m:
         k2 = min(2 * k, m)
         h = _kron_mul(f[:k2], g, p, k2)[k:]
         g += [-c % p for c in _kron_mul(g, h, p, k2 - k)]
         k = k2
-    return tuple(g)
+    return g
 
 
 def _divmod_p(a, b, p: int, inverse=None) -> tuple[list, list]:
@@ -197,9 +200,7 @@ def _divmod_p(a, b, p: int, inverse=None) -> tuple[list, list]:
 class Poly:
     """Immutable dense polynomial over a FiniteField."""
 
-    # Caches, filled on demand: _pk is the GF(2) bit-packed int, _rinv the
-    # odd-p Newton inverse 1/rev(self) mod t^k (see _rev_inverse).
-    __slots__ = ("field", "coeffs", "_pk", "_rinv")
+    __slots__ = ("field", "coeffs", "_pk")  # _pk: GF(2) packed int, on demand
 
     def __init__(self, field: FiniteField, coeffs=()):
         cs = [int(c) for c in coeffs]
@@ -211,7 +212,7 @@ class Poly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-        self._pk = self._rinv = None
+        self._pk = None
 
     @classmethod
     def _make(cls, field, coeffs: tuple) -> "Poly":
@@ -219,7 +220,7 @@ class Poly:
         obj = object.__new__(cls)
         obj.field = field
         obj.coeffs = coeffs
-        obj._pk = obj._rinv = None
+        obj._pk = None
         return obj
 
     @classmethod
@@ -299,7 +300,7 @@ class Poly:
         return (len(self.coeffs), tuple(reversed(self.coeffs)))
 
     def _check_same_field(self, other):
-        if self.field is not other.field and self.field != other.field:
+        if self.field != other.field:
             raise ValueError("mixed-field polynomial operation")
 
     def __eq__(self, other):
@@ -339,22 +340,6 @@ class Poly:
         obj = cls._make(field, tuple(bits))
         obj._pk = n
         return obj
-
-    def _rev_inverse(self, m: int):
-        """1/rev(self) mod t^m for Newton division, or None the first time.
-
-        Computing the inverse costs a few divisions' worth of products, so
-        a divisor gets one only when it comes back: the first long division
-        by it runs the schoolbook loop and leaves a mark.
-        """
-        g = self._rinv
-        if g is None:
-            self._rinv = ()
-            return None
-        if len(g) < m:
-            g = self._rinv = _series_inverse(self.coeffs[::-1], m,
-                                             self.field.p, g)
-        return g
 
     def __add__(self, other):
         self._check_same_field(other)
@@ -429,10 +414,7 @@ class Poly:
             q, r = _divmod2(self._packed(), other._packed())
             return Poly._from_packed(F, q), Poly._from_packed(F, r)
         if F.e == 1:
-            m = len(a) - db
-            inverse = (other._rev_inverse(m) if F.p > 2
-                       and m * db >= _NEWTON_MIN_WORK else None)
-            q, r = _divmod_p(a, bc, F.p, inverse)
+            q, r = _divmod_p(a, bc, F.p)
             return Poly._make(F, tuple(q)), Poly._from_list(F, r)
         a = list(a)
         inv_lb = F.inv(bc[-1])
@@ -457,12 +439,26 @@ class Poly:
         """self^k mod modulus by square-and-multiply."""
         if k < 0:
             raise ValueError("negative exponent")
-        r = Poly.one(self.field) % modulus
+        F, mc = self.field, modulus.coeffs
+        n = len(mc) - 1
+        # the product of two residues has a quotient of length at most n - 1
+        inverse = (_series_inverse(mc[::-1], n - 1, F.p) if F.e == 1
+                   and F.p > 2 and (n - 1) * n >= _NEWTON_MIN_WORK else None)
+
+        def reduce(x):
+            if inverse is None:
+                return x % modulus
+            if len(x.coeffs) <= n:
+                return x
+            return Poly._from_list(
+                F, _divmod_p(x.coeffs, mc, F.p, inverse)[1])
+
+        r = Poly.one(F) % modulus
         base = self % modulus
         while k:
             if k & 1:
-                r = (r * base) % modulus
-            base = (base * base) % modulus
+                r = reduce(r * base)
+            base = reduce(base * base)
             k >>= 1
         return r
 

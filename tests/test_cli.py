@@ -139,7 +139,7 @@ def test_q_large_prime_and_limits(capsys):
     assert envelope(out)["result"]["d_n"] == 2**61 - 1
     for q, msg in (("561", "not a prime power"),
                    (str(2**61 + 1), "not a prime power"),
-                   (str(10**30), "too large")):
+                   (str(10**30), "only decided below")):
         code, _, err = run_cli(capsys, "dn", "--q", q, "--n", "1")
         assert code == 1
         assert msg in err
@@ -352,9 +352,8 @@ def test_large_factor(capsys):
     assert env["result"]["witness"] == "t^2+t+1"
 
 
-# large-factor and sunit-orbits here reach factor's seeded random splitting
+# the commands that call factor; these inputs reach its seeded random splits
 SEEDED = [
-    ("delta-lab", "--q", "5", "--U", "t^2+t", "--n", "6"),
     ("large-factor", "--q", "7", "--A", "t+3", "--U", "t", "--M-floor", "50",
      "--n", "30"),
     ("sunit-orbits", "--q", "7", "--gens", "t^25+3,t", "--E", "1"),
@@ -388,7 +387,7 @@ def test_seed_reaches_factor(capsys, monkeypatch):
     real_split = factor_mod._split_once
     monkeypatch.setattr(sys.modules["fqtlab.sunit"], "factor", factor)
     monkeypatch.setattr(factor_mod, "_split_once", split_once)
-    for argv in SEEDED[1:]:
+    for argv in SEEDED:
         assert run_cli(capsys, *argv, "--seed", "7919")[0] == 0
     assert seeds and set(seeds) == {7919}
     assert splits

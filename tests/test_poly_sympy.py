@@ -3,8 +3,8 @@
 galoistools writes a polynomial over F_p as a list of ints, highest degree
 first, and is an independent implementation: schoolbook loops throughout.
 Input lengths reach past every size crossover in `fqtlab.poly`, so each
-kernel (schoolbook, bit-packed, Kronecker, Newton division) meets the oracle
-on both sides of its threshold.  The large prime 2^31 - 1 makes the
+kernel (schoolbook, bit-packed, Kronecker, Newton division in `powmod`)
+meets the oracle on both sides of its threshold.  The large prime 2^31 - 1 makes the
 Kronecker slots wider than eight bytes.
 """
 
@@ -22,10 +22,9 @@ ZZ = pytest.importorskip("sympy.polys.domains").ZZ
 
 PRIMES = [2, 3, 5, 7, 2**31 - 1]
 FIELDS = {p: FiniteField(p) for p in PRIMES}
-# long enough that products len(a)*len(b) and divisions (quotient length)
-# * deg(b) fall on both sides of the work thresholds, and GF(2) lengths on
-# both sides of the packing one
-MAX_LEN = 3 * math.isqrt(max(_KRON_MIN_WORK, _NEWTON_MIN_WORK)) + _PACK_MIN_LEN
+# long enough that products len(a)*len(b) fall on both sides of
+# _KRON_MIN_WORK, and GF(2) lengths on both sides of _PACK_MIN_LEN
+MAX_LEN = 3 * math.isqrt(_KRON_MIN_WORK) + _PACK_MIN_LEN
 
 
 def to_gf(a):
@@ -72,21 +71,13 @@ def test_divmod_matches_gf_div(inst):
         galoistools.gf_div(to_gf(a), to_gf(b), F.p, ZZ))
 
 
-@given(pair(), st.integers(min_value=1, max_value=3))
-@settings(max_examples=40, deadline=None)
-def test_repeated_division_by_one_divisor(inst, k):
-    # a divisor reused across calls keeps its Newton inverse; later calls
-    # with longer quotients must extend it, not reuse a short one
-    F, a, b = inst
-    for j in range(k, 0, -1):
-        big = a * b ** j + a
-        q, r = divmod(big, b)
-        assert [to_gf(q), to_gf(r)] == list(
-            galoistools.gf_div(to_gf(big), to_gf(b), F.p, ZZ))
+# gf_pow_mod returns 1 for k = 0 even modulo a constant, so b has degree >= 1;
+# powmod divides by Newton once deg(b)*(deg(b) - 1) reaches _NEWTON_MIN_WORK
+POWMOD_MAX_LEN = 2 * math.isqrt(_NEWTON_MIN_WORK) + 8
 
 
-# gf_pow_mod returns 1 for k = 0 even modulo a constant, so b has degree >= 1
-@given(pair(max_len=40, min_len=2), st.integers(min_value=0, max_value=200))
+@given(pair(max_len=POWMOD_MAX_LEN, min_len=2),
+       st.integers(min_value=0, max_value=200))
 @settings(max_examples=60, deadline=None)
 def test_powmod_matches_gf_pow_mod(inst, k):
     F, a, b = inst
