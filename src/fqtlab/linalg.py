@@ -1,15 +1,27 @@
 """Dense kernel computations over F_q.
 
-Rows arrive as coefficient lists.  Over GF(2) each row lives in a single
-Python int, one bit per column, and row operations are XORs; other fields
-use plain lists with field arithmetic.  Elimination maintains reduced row
-echelon form, so the pivot/free column split, and with it the canonical
-kernel basis, is independent of row order.  Kernel basis vectors are emitted
-one per free column, ascending; "first" always means the vector whose free
-column index is least.
+Rows arrive as coefficient sequences.  Over GF(2) each row lives in a single
+Python int, one bit per column, and row operations are XORs.  Other prime
+fields work on plain ints mod p and keep only the free columns of the pivot
+rows; extension fields use lists with table-driven field arithmetic.
+Elimination maintains reduced row echelon form, so the pivot/free column
+split, and with it the canonical kernel basis, is independent of row order.
+Kernel basis vectors are emitted one per free column, ascending; "first"
+always means the vector whose free column index is least.
 """
 
 from __future__ import annotations
+
+from operator import mul
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _pack_rows(rows):
+    """GF(2) rows as ints, bit j = column j; int rows pass through."""
+    return [r if isinstance(r, int)
+            else int(b"0" + bytes(map(bool, r))[::-1].translate(_BITS), 2)
+            for r in rows]
 
 
 def _rref_gf2(rows, ncols):
@@ -26,6 +38,40 @@ def _rref_gf2(rows, ncols):
             if (pr >> pc) & 1:
                 pivots[i] = (pr ^ r, c)
         pivots.append((r, pc))
+    pivots.sort(key=lambda t: t[1])
+    return pivots
+
+
+def _rref_prime(p, rows, ncols):
+    # Pivot rows are kept by column, and only at the free columns: free[j]
+    # lists their entries in column j, in pivot order.  Each pivot row is 1
+    # at its own pivot column and 0 at the others, so the multipliers that
+    # reduce an incoming row are its own entries at the pivot columns, all
+    # read before any is applied, and only its free entries change.
+    pcs = []
+    free = {j: [] for j in range(ncols)}
+    for r in rows:
+        if not free:
+            break
+        m = [r[c] for c in pcs]
+        red = {j: (r[j] - sum(map(mul, m, col))) % p
+               for j, col in free.items()}
+        pc = next((j for j, x in red.items() if x), None)
+        if pc is None:
+            continue
+        inv = pow(red[pc], -1, p)
+        f = free.pop(pc)
+        for j, col in free.items():
+            x = red[j] * inv % p
+            free[j] = [(c - fi * x) % p for c, fi in zip(col, f)] + [x]
+        pcs.append(pc)
+    pivots = []
+    for i, pc in enumerate(pcs):
+        row = [0] * ncols
+        row[pc] = 1
+        for j, col in free.items():
+            row[j] = col[i]
+        pivots.append((row, pc))
     pivots.sort(key=lambda t: t[1])
     return pivots
 
@@ -56,39 +102,28 @@ def _rref_generic(field, rows, ncols):
     return pivots
 
 
+def _pivots(field, rows, ncols):
+    """Pivot rows of the reduced row echelon form as (list, pivot column)
+    pairs, ascending by pivot column.  Repeated rows are eliminated once:
+    relation systems repeat most of theirs."""
+    if field.q == 2:
+        return [([(pr >> j) & 1 for j in range(ncols)], pc)
+                for pr, pc in _rref_gf2(dict.fromkeys(_pack_rows(rows)),
+                                        ncols)]
+    rows = dict.fromkeys(map(tuple, rows))
+    if field.e == 1:
+        return _rref_prime(field.p, rows, ncols)
+    return _rref_generic(field, rows, ncols)
+
+
 def kernel_basis(field, rows, ncols: int) -> list[tuple[int, ...]]:
     """Canonical kernel basis of the system rows * x = 0, one vector per
     free column in ascending column order."""
     if ncols < 0:
         raise ValueError("ncols must be >= 0")
-    if ncols == 0:
-        return []
-    out = []
-    if field.q == 2:
-        packed = []
-        for r in rows:
-            if isinstance(r, int):
-                packed.append(r)
-            else:
-                n = 0
-                for j, c in enumerate(r):
-                    if c:
-                        n |= 1 << j
-                packed.append(n)
-        pivots = _rref_gf2(packed, ncols)
-        pivot_cols = {pc for _, pc in pivots}
-        for j in range(ncols):
-            if j in pivot_cols:
-                continue
-            vec = [0] * ncols
-            vec[j] = 1
-            for pr, pc in pivots:
-                if (pr >> j) & 1:
-                    vec[pc] = 1
-            out.append(tuple(vec))
-        return out
-    pivots = _rref_generic(field, rows, ncols)
+    pivots = _pivots(field, rows, ncols)
     pivot_cols = {pc for _, pc in pivots}
+    out = []
     for j in range(ncols):
         if j in pivot_cols:
             continue
@@ -108,16 +143,4 @@ def kernel_vector(field, rows, ncols: int):
 
 
 def matrix_rank(field, rows, ncols: int) -> int:
-    if field.q == 2:
-        packed = []
-        for r in rows:
-            if isinstance(r, int):
-                packed.append(r)
-            else:
-                n = 0
-                for j, c in enumerate(r):
-                    if c:
-                        n |= 1 << j
-                packed.append(n)
-        return len(_rref_gf2(packed, ncols))
-    return len(_rref_generic(field, rows, ncols))
+    return len(_pivots(field, rows, ncols))

@@ -397,8 +397,9 @@ class Poly:
         while k:
             if k & 1:
                 r = r * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return r
 
     def __divmod__(self, other):
@@ -458,8 +459,9 @@ class Poly:
         while k:
             if k & 1:
                 r = reduce(r * base)
-            base = reduce(base * base)
             k >>= 1
+            if k:
+                base = reduce(base * base)
         return r
 
     def shifted(self, k: int) -> "Poly":

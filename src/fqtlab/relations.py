@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (DEFAULT_MATRIX_BUDGET, BudgetExceeded,
                      ExactDivisionError)
 from .functable import FuncTable, verify_p3
 from .irreducibles import irreducible_product
 from .linalg import kernel_vector
-from .poly import NEG_INF, Poly, polys_up_to
+from .poly import NEG_INF, Poly
 from .ratfunc import (RatFunc, kpoly, kpoly_divmod, kpoly_eval,
                       kpoly_from_polys, kpoly_neg, lagrange_interpolate)
 
@@ -76,36 +77,63 @@ class RelationQ:
         return self.coeffs[self.bounds.column(i, j, k)]
 
     def evaluate(self, field, x: Poly, y: Poly) -> Poly:
-        """Direct evaluation, independent of any solver state."""
-        t = Poly.gen(field)
-        xp = _powers(x, self.bounds.j_max)
-        yp = _powers(y, self.bounds.k_max)
-        tp = _powers(t, self.bounds.i_max)
-        acc = Poly.zero(field)
-        for i, j, k in self.bounds.triples():
-            c = self.coefficient(i, j, k)
-            if c:
-                acc = acc + (tp[i] * xp[j] * yp[k]).scaled(c)
-        return acc
+        """Direct evaluation, independent of any solver state: Horner in Y
+        over the Y-slices, and in X within each slice."""
+        def horner(cs, z):
+            return reduce(lambda acc, c: acc * z + c, reversed(cs))
+        return horner([horner(s, x) for s in self.y_slices(field)], y)
 
     def y_slices(self, field) -> list[list[Poly]]:
         """P_k(X) coefficients: slices[k][j] in F_q[t], trailing zeros kept."""
-        out = []
-        for k in range(self.bounds.k_max + 1):
-            slice_k = []
-            for j in range(self.bounds.j_max + 1):
-                cs = [self.coefficient(i, j, k)
-                      for i in range(self.bounds.i_max + 1)]
-                slice_k.append(Poly(field, cs))
-            out.append(slice_k)
-        return out
+        b = self.bounds
+        step = b.column(1, 0, 0)  # columns of one t-power
+        return [[Poly(field, self.coeffs[b.column(0, j, k)::step])
+                 for j in range(b.j_max + 1)] for k in range(b.k_max + 1)]
 
 
 def _powers(x: Poly, n: int) -> list[Poly]:
-    out = [Poly.one(x.field)]
-    for _ in range(n):
+    out = [Poly.one(x.field), x][:n + 1]
+    for _ in range(n - 1):
         out.append(out[-1] * x)
     return out
+
+
+def _system_rows(entries, budget: int, what: str) -> list:
+    """Rows of an F_q-linear system whose unknowns multiply powers of t.
+
+    Each entry lists one (b, i) pair per column: that column holds the
+    coefficients of t^i * b, zero-padded to the entry's height (the largest
+    deg b + i + 1), so row r is the t^r equation.  The running row count is
+    checked against the budget before an entry's rows are built.
+    """
+    rows = []
+    nrows = 0
+    for cols in entries:
+        height = max((len(b.coeffs) + i for b, i in cols if b.coeffs),
+                     default=0)
+        nrows += height
+        if nrows * len(cols) > budget:
+            raise BudgetExceeded("%s exceeds %d matrix entries"
+                                 % (what, budget))
+        pad = (0,) * height
+        rows.extend(zip(*[((0,) * i + b.coeffs + pad)[:height]
+                          for b, i in cols]))
+    return rows
+
+
+def _relation_rows(table: FuncTable, bounds: TriDegreeBounds,
+                   budget: int) -> list:
+    """One equation per (input, t-power) pair, columns in
+    TriDegreeBounds.column order: t^i * A^j * f(A)^k for unknown (i, j, k)."""
+    def entries():
+        for a, v in table.items():
+            row = _powers(v, bounds.k_max)  # A^j * f(A)^k for one j
+            base = list(row)
+            for _ in range(bounds.j_max):
+                row = [b * a for b in row]
+                base += row
+            yield [(b, i) for i in range(bounds.i_max + 1) for b in base]
+    return _system_rows(entries(), budget, "relation system")
 
 
 def find_relation(table: FuncTable, bounds: TriDegreeBounds,
@@ -117,34 +145,8 @@ def find_relation(table: FuncTable, bounds: TriDegreeBounds,
     direct evaluation on every table entry.
     """
     field = table.field
-    ncols = bounds.unknowns
-    rows = []
-    nrows = 0
-    for a, v in table.items():
-        xp = _powers(a, bounds.j_max)
-        yp = _powers(v, bounds.k_max)
-        base = [[xp[j] * yp[k] for k in range(bounds.k_max + 1)]
-                for j in range(bounds.j_max + 1)]
-        height = 0
-        for j in range(bounds.j_max + 1):
-            for k in range(bounds.k_max + 1):
-                d = base[j][k].deg
-                if d is not NEG_INF:
-                    height = max(height, d + bounds.i_max + 1)
-        nrows += height
-        if nrows * ncols > budget:
-            raise BudgetExceeded(
-                "relation system exceeds %d matrix entries" % budget)
-        for r in range(height):
-            row = [0] * ncols
-            for i, j, k in bounds.triples():
-                # coefficient of t^r in t^i * base is base[r - i]
-                if 0 <= r - i:
-                    c = base[j][k].coefficient(r - i)
-                    if c:
-                        row[bounds.column(i, j, k)] = c
-            rows.append(row)
-    vec = kernel_vector(field, rows, ncols)
+    vec = kernel_vector(field, _relation_rows(table, bounds, budget),
+                        bounds.unknowns)
     if vec is None:
         return None
     rel = RelationQ(bounds=bounds, coeffs=tuple(vec))
@@ -269,6 +271,19 @@ class LinearAnsatz:
         return acc
 
 
+def _linear_rows(samples, caps: LinearCaps, budget: int) -> list:
+    """One equation per (sample, t-power) pair: P's unknowns by (X-power,
+    t-power) multiply t^i * x^j * y, then Q's multiply t^i * x^j."""
+    def entries():
+        for x, y in samples:
+            xp = _powers(x, max(caps.p_deg_x, caps.q_deg_x))
+            yield ([(xp[j] * y, i) for j in range(caps.p_deg_x + 1)
+                    for i in range(caps.p_coeff_deg + 1)]
+                   + [(xp[j], i) for j in range(caps.q_deg_x + 1)
+                      for i in range(caps.q_coeff_deg + 1)])
+    return _system_rows(entries(), budget, "linear ansatz system")
+
+
 def find_linear_relation(samples, caps: LinearCaps,
                          budget: int = DEFAULT_MATRIX_BUDGET):
     """First canonical (P, Q) pair vanishing on the samples, or None.
@@ -283,59 +298,15 @@ def find_linear_relation(samples, caps: LinearCaps,
     xs = [x for x, _ in samples]
     if len({x.index() for x in xs}) != len(xs):
         raise ValueError("sample inputs must be pairwise distinct")
-    p_cols = (caps.p_deg_x + 1) * (caps.p_coeff_deg + 1)
-    q_cols = (caps.q_deg_x + 1) * (caps.q_coeff_deg + 1)
-    ncols = p_cols + q_cols
-
-    def p_col(j, i):
-        return j * (caps.p_coeff_deg + 1) + i
-
-    def q_col(j, i):
-        return p_cols + j * (caps.q_coeff_deg + 1) + i
-
-    rows = []
-    nrows = 0
-    for x, y in samples:
-        xp = _powers(x, max(caps.p_deg_x, caps.q_deg_x))
-        pbase = [xp[j] * y for j in range(caps.p_deg_x + 1)]
-        qbase = [xp[j] for j in range(caps.q_deg_x + 1)]
-        height = 0
-        for b in pbase:
-            if b.deg is not NEG_INF:
-                height = max(height, b.deg + caps.p_coeff_deg + 1)
-        for b in qbase:
-            if b.deg is not NEG_INF:
-                height = max(height, b.deg + caps.q_coeff_deg + 1)
-        nrows += height
-        if nrows * ncols > budget:
-            raise BudgetExceeded(
-                "linear ansatz system exceeds %d matrix entries" % budget)
-        for r in range(height):
-            row = [0] * ncols
-            for j in range(caps.p_deg_x + 1):
-                for i in range(caps.p_coeff_deg + 1):
-                    if r - i >= 0:
-                        c = pbase[j].coefficient(r - i)
-                        if c:
-                            row[p_col(j, i)] = c
-            for j in range(caps.q_deg_x + 1):
-                for i in range(caps.q_coeff_deg + 1):
-                    if r - i >= 0:
-                        c = qbase[j].coefficient(r - i)
-                        if c:
-                            row[q_col(j, i)] = c
-            rows.append(row)
-    vec = kernel_vector(field, rows, ncols)
+    pw, qw = caps.p_coeff_deg + 1, caps.q_coeff_deg + 1
+    p_cols = (caps.p_deg_x + 1) * pw
+    vec = kernel_vector(field, _linear_rows(samples, caps, budget),
+                        p_cols + (caps.q_deg_x + 1) * qw)
     if vec is None:
         return None
-    p_coeffs = []
-    for j in range(caps.p_deg_x + 1):
-        cs = [vec[p_col(j, i)] for i in range(caps.p_coeff_deg + 1)]
-        p_coeffs.append(Poly(field, cs))
-    q_coeffs = []
-    for j in range(caps.q_deg_x + 1):
-        cs = [vec[q_col(j, i)] for i in range(caps.q_coeff_deg + 1)]
-        q_coeffs.append(Poly(field, cs))
+    p_coeffs = [Poly(field, vec[c:c + pw]) for c in range(0, p_cols, pw)]
+    q_coeffs = [Poly(field, vec[c:c + qw])
+                for c in range(p_cols, len(vec), qw)]
     while p_coeffs and p_coeffs[-1].is_zero():
         p_coeffs.pop()
     while q_coeffs and q_coeffs[-1].is_zero():

@@ -129,6 +129,30 @@ def test_pow_and_powmod():
     assert t ** 0 == one
 
 
+@pytest.mark.parametrize("k, products", [(1, 1), (3, 3), (8, 4), (13, 6)])
+@pytest.mark.parametrize("mod_len", [3, 40])  # 40: Newton division
+def test_powmod_and_pow_skip_the_last_squaring(monkeypatch, k, products,
+                                               mod_len):
+    # square-and-multiply: one product per set bit of k, one squaring per
+    # bit below the top one, and no squaring after the top bit is used
+    modulus = Poly(F3, [1] * mod_len)
+    base = Poly(F3, [2, 1, 0, 1])
+    expected = base.powmod(k, modulus), base ** k
+    calls = []
+    mul = Poly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    assert base.powmod(k, modulus) == expected[0]
+    assert len(calls) == products
+    calls.clear()
+    assert base ** k == expected[1]
+    assert len(calls) == products
+
+
 def test_derivative():
     assert P2(1, 0, 1, 1).derivative() == P2(0, 0, 1)  # (t^3+t^2+1)' = t^2
     assert (t ** 2).derivative().is_zero()

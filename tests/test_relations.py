@@ -13,6 +13,7 @@ from fqtlab import (BudgetExceeded, DeltaSpec, ExactDivisionError, FiniteField,
                     find_relation, fit_polynomial, linear_growth_fit, radical,
                     recover_polymap, run_pipeline, schedule_check,
                     unknown_count_check)
+from fqtlab import relations
 from helpers import forced_table
 
 F2 = FiniteField(2)
@@ -115,6 +116,96 @@ def test_relation_odd_characteristic():
     assert rel is not None
     for a, v in tab.items():
         assert rel.evaluate(F3, a, v).is_zero()
+
+
+# -- system assembly against the per-triple loop ----------------------------------
+
+
+def _powers(x, n):
+    out = [Poly.one(x.field)]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
+
+
+def reference_relation_rows(table, bounds):
+    """One row per (entry, t-power), one coefficient lookup per unknown."""
+    rows = []
+    for a, v in table.items():
+        xp, yp = _powers(a, bounds.j_max), _powers(v, bounds.k_max)
+        base = [[xp[j] * yp[k] for k in range(bounds.k_max + 1)]
+                for j in range(bounds.j_max + 1)]
+        height = max(base[j][k].deg + bounds.i_max + 1
+                     for j in range(bounds.j_max + 1)
+                     for k in range(bounds.k_max + 1)
+                     if not base[j][k].is_zero())
+        for r in range(height):
+            row = [0] * bounds.unknowns
+            for i, j, k in bounds.triples():
+                if r >= i:
+                    row[bounds.column(i, j, k)] = base[j][k].coefficient(r - i)
+            rows.append(tuple(row))
+    return rows
+
+
+def reference_linear_rows(samples, caps):
+    pw, qw = caps.p_coeff_deg + 1, caps.q_coeff_deg + 1
+    ncols = (caps.p_deg_x + 1) * pw + (caps.q_deg_x + 1) * qw
+    rows = []
+    for x, y in samples:
+        xp = _powers(x, max(caps.p_deg_x, caps.q_deg_x))
+        cols = ([(xp[j] * y, i) for j in range(caps.p_deg_x + 1)
+                 for i in range(pw)]
+                + [(xp[j], i) for j in range(caps.q_deg_x + 1)
+                   for i in range(qw)])
+        height = max((b.deg + i + 1 for b, i in cols if not b.is_zero()),
+                     default=0)
+        for r in range(height):
+            rows.append(tuple(b.coefficient(r - i) if r >= i else 0
+                              for b, i in cols))
+    assert all(len(row) == ncols for row in rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [F2, F3, FiniteField(2, 2)],
+                         ids=["F2", "F3", "F4"])
+def test_system_rows_match_reference(field):
+    rng = random.Random(field.q)
+    D = {2: 4, 3: 3, 4: 2}[field.q]
+    for k in (1, 2, 3):
+        coeffs = [Poly(field, [rng.randrange(field.q) for _ in range(2)])
+                  for _ in range(k)] + [Poly.one(field)]
+        table = FuncTable.from_polymap(field, D, coeffs)
+        a = Poly.from_index(field, rng.randrange(1, field.q ** (D + 1)))
+        table = table.with_value(a, Poly.zero(field))  # a zero entry
+        for bounds in (TriDegreeBounds(1, k, 1), TriDegreeBounds(0, 2, 2),
+                       TriDegreeBounds(2, 1, 0)):
+            assert (relations._relation_rows(table, bounds, 10 ** 9)
+                    == reference_relation_rows(table, bounds))
+        u = Poly.gen(field)
+        samples = [(u ** n, table.lookup(u ** n)) for n in range(D + 1)]
+        samples.append((Poly.one(field) + u, Poly.zero(field)))  # P-part 0
+        for caps in (LinearCaps(0, 0, k, 1), LinearCaps(1, 2, 2, 0)):
+            assert (relations._linear_rows(samples, caps, 10 ** 9)
+                    == reference_linear_rows(samples, caps))
+
+
+def test_system_rows_of_an_all_zero_base():
+    zero_cols = [(Poly.zero(F3), i) for i in range(3)]
+    assert relations._system_rows([zero_cols], 0, "empty") == []
+    samples = [(Poly.zero(F3), Poly.zero(F3))]  # P's columns all zero
+    caps = LinearCaps(1, 1, 0, 0)
+    rows = relations._linear_rows(samples, caps, 10 ** 9)
+    assert rows == reference_linear_rows(samples, caps) == [(0, 0, 0, 0, 1)]
+
+
+def test_relation_system_shape_frozen():
+    # the cube map over F2, D = 3, in the box (1, 3, 1): 16 unknowns, and
+    # deg(A^3 f(A)) + 2 rows per input: 2 + 3 at A = 0, 1, then 8, 14, 20
+    # for each of the 2, 4, 8 inputs of degree 1, 2, 3
+    tab = FuncTable.from_function(F2, 3, cube_map)
+    rows = relations._relation_rows(tab, TriDegreeBounds(1, 3, 1), 10 ** 9)
+    assert (len(rows), {len(r) for r in rows}) == (237, {16})
 
 
 # -- degree bound certificates --------------------------------------------------
