@@ -10,7 +10,11 @@ same moduli, so one CRT basis is built per degree level and every row of
 that level is lifted through it.
 
 Every step is recorded in a trace so the whole table can be re-derived and
-audited entry by entry.
+audited entry by entry.  Certification builds the table's ResidueMap once:
+the congruence check and the trace replay's residue and congruence checks
+both read it, so no residue is computed twice.  Only a trace row that
+leaves the map (an input past D, or a value the table does not hold) is
+reduced directly.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded
-from .functable import FuncTable, verify_p3
+from .functable import FuncTable, ResidueMap, verify_p3
 from .irreducibles import enumerate_monic_irreducibles, irreducible_product
 from .poly import CRTBasis, Poly, crt, polys_up_to
 
@@ -94,7 +98,8 @@ def certify_counterexample(table: FuncTable,
     congruences against earlier entries).
     """
     field, q = table.field, table.field.q
-    p3 = verify_p3(table)
+    residues = ResidueMap(table)
+    p3 = verify_p3(table, residues=residues)
 
     window_failures = []
     for a, v in table.items():
@@ -111,6 +116,8 @@ def certify_counterexample(table: FuncTable,
     if len(trace.rows) != expected_rows:
         trace_failures.append("trace has %d rows, expected %d"
                               % (len(trace.rows), expected_rows))
+    # every residue mod a modulus of degree <= D, by index
+    residue_polys = list(polys_up_to(field, table.D - 1))
     irreds: list[Poly] = []
     level = 0
     seen = iter(polys_up_to(field, table.D))
@@ -131,14 +138,30 @@ def certify_counterexample(table: FuncTable,
         if [p for p, _ in row.residue_pairs] != irreds:
             trace_failures.append("row %s: irreducible list mismatch" % b)
             continue
+        # Up to level D the row's moduli are the first ones of the map, so
+        # residues of b, b's value and rp come from it; past that, or for a
+        # b from another field, they are reduced directly.
+        kb = b.index() if level <= table.D and b.field == field else None
+        mapped_value = kb is not None and table.lookup(b) == row.value
         bad = False
-        for p, rp in row.residue_pairs:
-            if rp != b % p:
+        for i, (p, rp) in enumerate(row.residue_pairs):
+            if kb is None:
+                wrong = rp != b % p
+            else:
+                kr = residues.inputs[i][kb]
+                wrong = rp != residue_polys[kr]
+            if wrong:
                 trace_failures.append("row %s: residue of input mod %s wrong"
                                       % (b, p))
                 bad = True
                 break
-            if (row.value - table.lookup(rp)) % p:
+            if kb is None:
+                congruent = row.value % p == table.lookup(rp) % p
+            else:
+                vals = residues.values[i]
+                congruent = vals[kr] == (vals[kb] if mapped_value
+                                         else (row.value % p).index())
+            if not congruent:
                 trace_failures.append("row %s: value not congruent to value "
                                       "at %s mod %s" % (b, rp, p))
                 bad = True

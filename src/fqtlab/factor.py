@@ -104,15 +104,6 @@ def radical(a: Poly) -> Poly:
     return out
 
 
-def _frobenius_iterate(base: Poly, steps: int, modulus: Poly) -> Poly:
-    """base^(q^steps) mod modulus."""
-    q = base.field.q
-    h = base % modulus
-    for _ in range(steps):
-        h = h.powmod(q, modulus)
-    return h
-
-
 def is_irreducible(f: Poly) -> bool:
     """Rabin's test: t^(q^n) = t mod f and no fixed subfield at n/r."""
     if f.deg < 1:

@@ -207,9 +207,6 @@ class FiniteField:
             return pow(a, self.p - 2, self.p) if self.p > 2 else a
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             a, k = self.inv(a), -k

@@ -6,11 +6,18 @@ zero and the constants.  Lookups outside the domain raise; nothing is ever
 defaulted.  Tables serialize to a stable JSON form with compact polynomial
 literals and canonically sorted entries, so equal tables produce identical
 bytes.
+
+The congruence check reads a ResidueMap: the residue, as an index, of every
+input and every value mod every monic irreducible of degree <= D.  Each
+polynomial is reduced once, down a RemainderTree of all those moduli, and
+a caller that needs the residues too (certification) builds the map once
+and passes it in.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +25,8 @@ from .errors import (DEFAULT_DEGREE_BUDGET, DEFAULT_ENUM_BUDGET,
                      BudgetExceeded, TableDomainError)
 from .field import FiniteField
 from .irreducibles import degree_sum, enumerate_monic_irreducibles
-from .poly import NEG_INF, Poly, format_poly_compact, parse_poly, polys_up_to
+from .poly import (NEG_INF, Poly, RemainderTree, format_poly_compact,
+                   parse_poly, polys_up_to)
 
 # Degree cap for human-form values in table files.  build_counterexample
 # refuses q^D > budget, so under the default budget its largest value, of
@@ -175,39 +183,71 @@ class P3Report:
     truncated: bool
 
 
-def _p3_scan_modulus(table: FuncTable, p: Poly) -> list[P3Violation]:
-    seen = {}  # residue-class index -> (base input, reduced base value)
-    out = []
-    for a, v in table.items():
-        key = (a % p).index()
-        rv = v % p
-        hit = seen.get(key)
-        if hit is None:
-            seen[key] = (a, rv)
-        elif rv != hit[1]:
-            out.append(P3Violation(modulus=p, a=a, base=hit[0]))
-    return out
+class ResidueMap:
+    """A table's inputs and values mod every monic irreducible of degree <= D.
+
+    `moduli` lists those irreducibles by degree, each degree in canonical
+    order.  For the domain entry A_k of index k, inputs[i][k] is the index of
+    A_k mod moduli[i] and values[i][k] that of f(A_k) mod moduli[i].  Each
+    input and each value goes down one RemainderTree of all the moduli.
+    Residues are kept as indices, below q^D, in one array per modulus (a
+    byte each when q^D <= 256), not as polynomials, so the map stays small.
+    """
+
+    __slots__ = ("moduli", "inputs", "values")
+
+    def __init__(self, table: FuncTable):
+        mods = []
+        for d in range(1, table.D + 1):
+            mods.extend(enumerate_monic_irreducibles(table.field, d))
+        tree = RemainderTree(mods)
+        code = "B" if table.field.q ** table.D <= 256 else "L"
+        self.moduli = tuple(mods)
+        self.inputs = tuple(array(code) for _ in mods)
+        self.values = tuple(array(code) for _ in mods)
+        for a, v in table.items():
+            for col, r in zip(self.inputs, tree.indices(a)):
+                col.append(r)
+            for col, r in zip(self.values, tree.indices(v)):
+                col.append(r)
 
 
-def verify_p3(table: FuncTable, max_violations: int = 100) -> P3Report:
+def _p3_scan_modulus(keys, vals) -> list[tuple[int, int]]:
+    """(k, base) for each domain index k whose value disagrees with that of
+    the least index `base` in its residue class; classes are `keys`."""
+    # written from the top down, the least index of each class lands last
+    base = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return [(k, base[key]) for k, (key, v) in enumerate(zip(keys, vals))
+            if v != vals[base[key]]]
+
+
+def verify_p3(table: FuncTable, max_violations: int = 100,
+              residues: ResidueMap | None = None) -> P3Report:
     """Check f(a) = f(b) mod P whenever a = b mod P, over every monic
     irreducible P of degree <= D.
 
     Each residue class is compared against its canonically least member, so
     a class is clean iff all pairs within it agree.  Violations are collected
-    exhaustively (up to max_violations retained) rather than fail-fast.
+    exhaustively (up to max_violations retained) rather than fail-fast.  The
+    scan reads `residues`, the table's ResidueMap, and builds it when none is
+    given.
     """
-    mods = []
-    for d in range(1, table.D + 1):
-        mods.extend(enumerate_monic_irreducibles(table.field, d))
-    violations = [v for p in mods for v in _p3_scan_modulus(table, p)]
+    if residues is None:
+        residues = ResidueMap(table)
+    field = table.field
+    violations = [
+        P3Violation(modulus=p, a=Poly.from_index(field, k),
+                    base=Poly.from_index(field, base))
+        for p, keys, vals in zip(residues.moduli, residues.inputs,
+                                 residues.values)
+        for k, base in _p3_scan_modulus(keys, vals)]
     violations.sort(key=lambda v: (v.modulus.sort_key(), v.a.sort_key(),
                                    v.base.sort_key()))
     count = len(violations)
     return P3Report(ok=count == 0,
                     violations=tuple(violations[:max_violations]),
                     violation_count=count,
-                    irreducibles_checked=len(mods),
+                    irreducibles_checked=len(residues.moduli),
                     truncated=count > max_violations)
 
 

@@ -19,6 +19,10 @@ Once len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
 once (quotient length)*deg(modulus) reaches _NEWTON_MIN_WORK, it computes a
 Newton inverse of the reversed modulus once and takes every quotient from
 it.  Extension fields run table-driven schoolbook loops.
+
+`RemainderTree` reduces one polynomial mod every modulus of a fixed list
+at once: it descends the subproduct tree of the moduli with the same
+kernels, so the division work of all moduli is shared by one descent.
 """
 
 from __future__ import annotations
@@ -195,6 +199,30 @@ def _divmod_p(a, b, p: int, inverse=None) -> tuple[list, list]:
             for j, y in enumerate(low, i):
                 rem[j] += f * y
     return quot, [x % p for x in rem[:db]]
+
+
+def _divmod_ext(a, b, F) -> tuple[list, list]:
+    """Quotient and remainder over an extension field F, len(a) >= len(b) > 0.
+
+    A schoolbook loop on F's addition and multiplication tables: each step
+    adds f * (-b_j), and -(f * b_j) = f * (-b_j) lets the row of f in the
+    multiplication table serve the whole step.
+    """
+    add, mul = F._add, F._mul
+    db = len(b) - 1
+    inv = F._inv[b[-1]]
+    low = [F._neg[y] for y in b[:db]]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            f = mul[c][inv]
+            quot[i] = f
+            row = mul[f]
+            for j, y in enumerate(low, i):
+                rem[j] = add[rem[j]][row[y]]
+    return quot, rem[:db]
 
 
 class Poly:
@@ -414,21 +442,8 @@ class Poly:
         if F.q == 2 and len(a) >= _PACK_MIN_LEN:
             q, r = _divmod2(self._packed(), other._packed())
             return Poly._from_packed(F, q), Poly._from_packed(F, r)
-        if F.e == 1:
-            q, r = _divmod_p(a, bc, F.p)
-            return Poly._make(F, tuple(q)), Poly._from_list(F, r)
-        a = list(a)
-        inv_lb = F.inv(bc[-1])
-        quot = [0] * (len(a) - db)
-        for i in range(len(a) - db - 1, -1, -1):
-            c = a[i + db]
-            if c:
-                f = F.mul(c, inv_lb)
-                quot[i] = f
-                for j, bj in enumerate(bc):
-                    if bj:
-                        a[i + j] = F.sub(a[i + j], F.mul(f, bj))
-        return Poly._from_list(F, quot), Poly._from_list(F, a)
+        q, r = (_divmod_p(a, bc, F.p) if F.e == 1 else _divmod_ext(a, bc, F))
+        return Poly._make(F, tuple(q)), Poly._from_list(F, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -615,6 +630,101 @@ def crt(residues, moduli) -> Poly:
     if not isinstance(moduli, CRTBasis):
         moduli = CRTBasis(moduli)
     return moduli.lift(residues)
+
+
+class RemainderTree:
+    """x mod P_i for every modulus of one fixed list, by one tree descent.
+
+    Level 0 of the subproduct tree holds the moduli, and each level above
+    holds the products of adjacent pairs below it, an odd last node carried
+    up as is; node i of a level has parent i >> 1.  `reduce` takes x mod the
+    root, then each remainder mod the children of its node, down to the
+    leaves (MCA section 10.1).  A division is skipped where the remainder
+    already has lower degree than the node, so short inputs cost little.
+    Nodes are stored in kernel form: bit-packed ints over GF(2), coefficient
+    lists otherwise, and over odd p each non-root node large enough for it
+    keeps the Newton inverse of its reversal, built once and shared by every
+    x reduced.
+    """
+
+    __slots__ = ("field", "_levels")
+
+    def __init__(self, moduli):
+        moduli = list(moduli)
+        if not moduli:
+            raise ValueError("need at least one modulus")
+        for m in moduli:
+            if m.is_zero():
+                raise ZeroDivisionError("zero modulus")
+        F = self.field = moduli[0].field
+        levels = [moduli]
+        while len(levels[-1]) > 1:
+            below = levels[-1]
+            levels.append([below[i] * below[i + 1] if i + 1 < len(below)
+                           else below[i] for i in range(0, len(below), 2)])
+        if F.q == 2:
+            self._levels = [[m._packed() for m in level] for level in levels]
+            return
+        odd_p = F.e == 1 and F.p > 2
+        self._levels = []
+        for j, level in enumerate(levels):
+            nodes = []
+            for i, m in enumerate(level):
+                # a remainder mod the parent leaves a quotient of length at
+                # most k; the root takes x of any length and keeps none
+                k = (levels[j + 1][i >> 1].deg - m.deg
+                     if j + 1 < len(levels) else 0)
+                inverse = (_series_inverse(m.coeffs[::-1], k, F.p) if odd_p
+                           and k * m.deg >= _NEWTON_MIN_WORK else None)
+                nodes.append((m.coeffs, inverse))
+            self._levels.append(nodes)
+
+    def _leaves(self, x: Poly) -> list:
+        """x mod every modulus, in kernel form (trimmed over F_q, q > 2)."""
+        F = self.field
+        if x.field != F:
+            raise ValueError("mixed-field polynomial operation")
+        levels = self._levels
+        if F.q == 2:
+            rems = [x._packed()]
+            for level in reversed(levels):
+                rems = [_divmod2(rems[i >> 1], b)[1]
+                        for i, b in enumerate(level)]
+            return rems
+        rems = [list(x.coeffs)]
+        for level in reversed(levels):
+            out = []
+            for i, (b, inverse) in enumerate(level):
+                r = rems[i >> 1]
+                if len(r) >= len(b):
+                    r = (_divmod_ext(r, b, F) if F.e > 1
+                         else _divmod_p(r, b, F.p, inverse))[1]
+                    while r and not r[-1]:
+                        r.pop()
+                out.append(r)
+            rems = out
+        return rems
+
+    def reduce(self, x: Poly) -> list:
+        """[x mod P_i for each modulus P_i], in the order given."""
+        F = self.field
+        if F.q == 2:
+            return [Poly._from_packed(F, r) for r in self._leaves(x)]
+        return [Poly._make(F, tuple(r)) for r in self._leaves(x)]
+
+    def indices(self, x: Poly) -> list:
+        """[(x mod P_i).index() for each modulus P_i], without building the
+        residues as polynomials."""
+        if self.field.q == 2:
+            return self._leaves(x)  # over GF(2) the packed int is the index
+        q = self.field.q
+        out = []
+        for r in self._leaves(x):
+            k = 0
+            for c in reversed(r):
+                k = k * q + c
+            out.append(k)
+        return out
 
 
 # -- text formats ----------------------------------------------------------------

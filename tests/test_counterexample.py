@@ -112,3 +112,27 @@ def test_trace_rows_cover_nonconstant_inputs():
     tab, trace = build_counterexample(F2, 3)
     assert len(trace.rows) == 2 ** 4 - 2
     assert [row.b for row in trace.rows] == [a for a in tab.domain() if not a.is_constant()]
+
+
+def test_certify_division_count(monkeypatch):
+    # certify reads every residue from one residue map, built without Poly
+    # division; only a row value the table does not hold is reduced
+    # directly, once per modulus of its row
+    tab, trace = build_counterexample(F2, 5)
+    last = trace.rows[-1]
+    changed = type(last)(b=last.b, residue_pairs=last.residue_pairs,
+                         crt_value=last.crt_value, modulus=last.modulus,
+                         value=last.value + last.modulus)
+    bad_trace = type(trace)(D=trace.D, rows=trace.rows[:-1] + (changed,))
+    calls = []
+    divmod_ = Poly.__divmod__
+
+    def counting_divmod(a, b):
+        calls.append(1)
+        return divmod_(a, b)
+
+    monkeypatch.setattr(Poly, "__divmod__", counting_divmod)
+    assert certify_counterexample(tab, trace).ok
+    assert len(calls) == 0
+    assert not certify_counterexample(tab, bad_trace).trace_ok
+    assert len(calls) == len(last.residue_pairs) == 14

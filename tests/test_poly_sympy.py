@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from fqtlab import FiniteField, Poly, factor, is_irreducible, poly_xgcd
 from fqtlab.factor import squarefree_decomposition
-from fqtlab.poly import _KRON_MIN_WORK, _NEWTON_MIN_WORK, _PACK_MIN_LEN
+from fqtlab.poly import (_KRON_MIN_WORK, _NEWTON_MIN_WORK, _PACK_MIN_LEN,
+                         RemainderTree)
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -69,6 +70,17 @@ def test_divmod_matches_gf_div(inst):
     q, r = divmod(a, b)
     assert [to_gf(q), to_gf(r)] == list(
         galoistools.gf_div(to_gf(a), to_gf(b), F.p, ZZ))
+
+
+@given(st.sampled_from(PRIMES).flatmap(lambda p: st.tuples(
+    st.lists(poly_over(FIELDS[p], 30, nonzero=True), min_size=1, max_size=9),
+    poly_over(FIELDS[p], 4 * MAX_LEN))))
+@settings(max_examples=80, deadline=None)
+def test_remainder_tree_matches_gf_rem(inst):
+    moduli, x = inst
+    F = x.field
+    assert [to_gf(r) for r in RemainderTree(moduli).reduce(x)] == [
+        galoistools.gf_rem(to_gf(x), to_gf(m), F.p, ZZ) for m in moduli]
 
 
 # gf_pow_mod returns 1 for k = 0 even modulo a constant, so b has degree >= 1;
