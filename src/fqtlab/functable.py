@@ -190,8 +190,12 @@ class ResidueMap:
     order.  For the domain entry A_k of index k, inputs[i][k] is the index of
     A_k mod moduli[i] and values[i][k] that of f(A_k) mod moduli[i].  Each
     input and each value goes down one RemainderTree of all the moduli.
-    Residues are kept as indices, below q^D, in one array per modulus (a
-    byte each when q^D <= 256), not as polynomials, so the map stays small.
+    Residues are kept as indices, below q^D, in one array per modulus of the
+    narrowest type that holds them (a byte each when q^D <= 256, two bytes
+    up to 65536), not as polynomials.  The map still holds 2 * q^(D+1)
+    indices per modulus at once, so it grows with the number of moduli
+    times the domain: at (q=2, D=12) about 24 MB for 747 moduli.  A D = 0
+    table has no modulus and an empty map.
     """
 
     __slots__ = ("moduli", "inputs", "values")
@@ -200,11 +204,14 @@ class ResidueMap:
         mods = []
         for d in range(1, table.D + 1):
             mods.extend(enumerate_monic_irreducibles(table.field, d))
-        tree = RemainderTree(mods)
-        code = "B" if table.field.q ** table.D <= 256 else "L"
+        top = table.field.q ** table.D  # every residue index is below it
+        code = next(c for c in "BHILQ" if top <= 1 << 8 * array(c).itemsize)
         self.moduli = tuple(mods)
         self.inputs = tuple(array(code) for _ in mods)
         self.values = tuple(array(code) for _ in mods)
+        if not mods:
+            return
+        tree = RemainderTree(mods)
         for a, v in table.items():
             for col, r in zip(self.inputs, tree.indices(a)):
                 col.append(r)

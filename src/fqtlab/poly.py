@@ -637,14 +637,17 @@ class RemainderTree:
 
     Level 0 of the subproduct tree holds the moduli, and each level above
     holds the products of adjacent pairs below it, an odd last node carried
-    up as is; node i of a level has parent i >> 1.  `reduce` takes x mod the
+    up as is; node i of a level has parent i >> 1.  `indices` takes x mod the
     root, then each remainder mod the children of its node, down to the
     leaves (MCA section 10.1).  A division is skipped where the remainder
     already has lower degree than the node, so short inputs cost little.
     Nodes are stored in kernel form: bit-packed ints over GF(2), coefficient
-    lists otherwise, and over odd p each non-root node large enough for it
-    keeps the Newton inverse of its reversal, built once and shared by every
-    x reduced.
+    lists otherwise, and over odd p each non-root node whose division work
+    k*deg reaches _NEWTON_MIN_WORK keeps the Newton inverse of its reversal,
+    built once and shared by every x reduced.  Timed on the residue map of
+    the (q=3, D=5) counterexample, the inverses cut its build from about
+    2.3 s to 1.5 s, with any threshold from 100 to 3000 alike; at D=4 they
+    save about 2 % of the `construct` benchmark's wall time.
     """
 
     __slots__ = ("field", "_levels")
@@ -679,8 +682,9 @@ class RemainderTree:
                 nodes.append((m.coeffs, inverse))
             self._levels.append(nodes)
 
-    def _leaves(self, x: Poly) -> list:
-        """x mod every modulus, in kernel form (trimmed over F_q, q > 2)."""
+    def indices(self, x: Poly) -> list:
+        """[(x mod P_i).index() for each modulus P_i], in the order given,
+        without building the residues as polynomials."""
         F = self.field
         if x.field != F:
             raise ValueError("mixed-field polynomial operation")
@@ -690,7 +694,7 @@ class RemainderTree:
             for level in reversed(levels):
                 rems = [_divmod2(rems[i >> 1], b)[1]
                         for i, b in enumerate(level)]
-            return rems
+            return rems  # over GF(2) the packed int is the index
         rems = [list(x.coeffs)]
         for level in reversed(levels):
             out = []
@@ -703,23 +707,9 @@ class RemainderTree:
                         r.pop()
                 out.append(r)
             rems = out
-        return rems
-
-    def reduce(self, x: Poly) -> list:
-        """[x mod P_i for each modulus P_i], in the order given."""
-        F = self.field
-        if F.q == 2:
-            return [Poly._from_packed(F, r) for r in self._leaves(x)]
-        return [Poly._make(F, tuple(r)) for r in self._leaves(x)]
-
-    def indices(self, x: Poly) -> list:
-        """[(x mod P_i).index() for each modulus P_i], without building the
-        residues as polynomials."""
-        if self.field.q == 2:
-            return self._leaves(x)  # over GF(2) the packed int is the index
-        q = self.field.q
+        q = F.q
         out = []
-        for r in self._leaves(x):
+        for r in rems:
             k = 0
             for c in reversed(r):
                 k = k * q + c

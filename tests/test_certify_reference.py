@@ -13,8 +13,9 @@ import random
 import pytest
 
 from fqtlab import (FiniteField, Poly, TableDomainError, build_counterexample,
-                    certify_counterexample, enumerate_monic_irreducibles,
-                    irreducible_product, verify_p3)
+                    certify_counterexample, check_vanishing_lemma,
+                    enumerate_monic_irreducibles, irreducible_product,
+                    verify_p3)
 from fqtlab.counterexample import CertifyReport, ConstructionTrace, TraceRow
 from fqtlab.functable import FuncTable, P3Report, P3Violation
 from fqtlab.poly import polys_up_to
@@ -250,3 +251,19 @@ def test_verify_p3_report_matches_reference(built):
             got = verify_p3(tab, max_violations=cap)
             assert got == reference_verify_p3(tab, max_violations=cap)
             assert got.truncated == (got.violation_count > cap)
+
+
+@pytest.mark.parametrize("field", [FiniteField(2), FiniteField(3),
+                                   FiniteField(2, 2)], ids=["F2", "F3", "F4"])
+def test_degree_zero_table_has_no_modulus_to_check(field):
+    # no irreducible has degree <= 0: the map is empty and every check passes
+    t = Poly.gen(field)
+    empty = ConstructionTrace(D=0, rows=())
+    for table in (FuncTable.from_function(field, 0, lambda a: a * t + t),
+                  FuncTable.from_function(field, 0, lambda a: Poly.zero(field))):
+        got = verify_p3(table)
+        assert got == reference_verify_p3(table)
+        assert got.ok and got.irreducibles_checked == 0
+        assert check_vanishing_lemma(table, 0).congruence_ok
+        assert certify_counterexample(table, empty) == reference_certify(
+            table, empty)

@@ -194,6 +194,21 @@ def test_verify_p3_pass_and_fail(capsys, square_table_path, tmp_path):
     assert env["result"]["violation_count"] > 0
 
 
+def test_degree_zero_table_checks_pass(capsys, tmp_path):
+    # a D = 0 table has no irreducible of degree <= D to check against
+    path = str(tmp_path / "d0.json")
+    FuncTable.from_function(F2, 0, lambda a: a + t).save(path)
+    code, out, _ = run_cli(capsys, "verify-p3", "--table", path)
+    assert code == 0
+    result = envelope(out)["result"]
+    assert result["ok"] is True
+    assert result["irreducibles_checked"] == 0
+    code, out, _ = run_cli(capsys, "vanishing-check", "--table", path,
+                           "--C1", "0")
+    assert code == 0
+    assert envelope(out)["result"]["congruence_ok"] is True
+
+
 def test_verify_p3_accepts_envelope_table(capsys, tmp_path):
     out_path = str(tmp_path / "env.json")
     run_cli(capsys, "build-counterexample", "--q", "2", "--D", "2",

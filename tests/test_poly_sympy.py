@@ -79,8 +79,11 @@ def test_divmod_matches_gf_div(inst):
 def test_remainder_tree_matches_gf_rem(inst):
     moduli, x = inst
     F = x.field
-    assert [to_gf(r) for r in RemainderTree(moduli).reduce(x)] == [
-        galoistools.gf_rem(to_gf(x), to_gf(m), F.p, ZZ) for m in moduli]
+    # gf_rem lists coefficients from the top: read them as base-p digits
+    assert RemainderTree(moduli).indices(x) == [
+        sum(c * F.p ** i for i, c in enumerate(reversed(
+            galoistools.gf_rem(to_gf(x), to_gf(m), F.p, ZZ))))
+        for m in moduli]
 
 
 # gf_pow_mod returns 1 for k = 0 even modulo a constant, so b has degree >= 1;
