@@ -7,7 +7,11 @@ was assigned earlier.  The CRT lift R of those residues has degree below
 dsum(n) = deg(prod P), and the value is then set to R + prod P, pinning
 deg g(B) = dsum(n), inside [q^n, 2*q^n).  All inputs of degree n share the
 same moduli, so one CRT basis is built per degree level and every row of
-that level is lifted through it.
+that level is lifted through it, in packed form (see `poly.CRTBasis`).  The
+residue g(rp) mod P depends only on P and rp = B mod P, so it is reduced
+once, by direct division, and kept for every later row with the same pair;
+certification reads residues from a remainder tree instead, so the two
+stay independent.
 
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.  Certification builds the table's ResidueMap once:
@@ -69,15 +73,27 @@ def build_counterexample(field, D: int,
         values[a] = zero
     rows = []
     irreds: list[Poly] = []
+    # memo[i][rp.coeffs] = values[rp] % irreds[i], shared by every row
+    # whose input is congruent to rp mod irreds[i]; equal residues share
+    # one Poly through `canon`
+    memo: list[dict] = []
+    canon: dict = {}
     for n in range(1, D + 1):
         irreds.extend(enumerate_monic_irreducibles(field, n))
+        memo.extend({} for _ in range(len(irreds) - len(memo)))
         basis = CRTBasis(irreds)
         modulus = basis.modulus
         base = field.q ** n
         for k in range(base, base * field.q):
             b = Poly.from_index(field, k)
             pairs = tuple((p, b % p) for p in irreds)
-            residues = [values[rp] % p for p, rp in pairs]
+            residues = []
+            for seen, (p, rp) in zip(memo, pairs):
+                r = seen.get(rp.coeffs)
+                if r is None:
+                    r = values[rp] % p
+                    r = seen[rp.coeffs] = canon.setdefault(r.coeffs, r)
+                residues.append(r)
             r = crt(residues, basis)
             value = r + modulus
             values[b] = value

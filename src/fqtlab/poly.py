@@ -18,11 +18,17 @@ Once len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
 (Kronecker substitution).  `powmod` divides many products by one modulus:
 once (quotient length)*deg(modulus) reaches _NEWTON_MIN_WORK, it computes a
 Newton inverse of the reversed modulus once and takes every quotient from
-it.  Extension fields run table-driven schoolbook loops.
+it.  Extension fields run schoolbook loops on the field's tables.  Sums and
+differences act coefficientwise on the codes: XOR over characteristic 2,
+plain ints mod p over other prime fields, the tables otherwise.
 
-`RemainderTree` reduces one polynomial mod every modulus of a fixed list
-at once: it descends the subproduct tree of the moduli with the same
-kernels, so the division work of all moduli is shared by one descent.
+`CRTBasis` lifts residues in Kronecker form: each cofactor M/P_i is packed
+into one int once per basis, with a block of 2e-1 slots per coefficient of
+t, and a lift sums the products of the short c_i with those ints and
+unpacks the sum once.  `RemainderTree` reduces one polynomial mod every
+modulus of a fixed list at once: it descends the subproduct tree of the
+moduli with the same kernels, so the division work of all moduli is shared
+by one descent.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import json
 import re
 import sys
 from array import array
+from functools import lru_cache
 
 from .errors import BudgetExceeded, NotCoprime, PolyParseError
 from .field import FiniteField
@@ -124,16 +131,19 @@ def _kron_mul(a, b, p: int, count: int) -> list:
     n = min(count, full)
     buf = (x * x if a is b else x * _kron_pack(b, s)).to_bytes(full * s,
                                                               "little")
+    return _kron_slots(buf, s, n, p) + [0] * (count - n)
+
+
+def _kron_slots(buf: bytes, s: int, n: int, p: int) -> list:
+    """The first n slots of s bytes each in buf, reduced mod p."""
     code = _SLOT_TYPES.get(s)
     if code is None:
-        out = [int.from_bytes(buf[i:i + s], "little") % p
-               for i in range(0, n * s, s)]
-    else:
-        slots = array(code, buf[:n * s])
-        if _SWAP:
-            slots.byteswap()
-        out = [c % p for c in slots]
-    return out + [0] * (count - n)
+        return [int.from_bytes(buf[i:i + s], "little") % p
+                for i in range(0, n * s, s)]
+    slots = array(code, buf[:n * s])
+    if _SWAP:
+        slots.byteswap()
+    return [c % p for c in slots]
 
 
 def _mul_p(a, b, p: int) -> list:
@@ -223,6 +233,19 @@ def _divmod_ext(a, b, F) -> tuple[list, list]:
             for j, y in enumerate(low, i):
                 rem[j] = add[rem[j]][row[y]]
     return quot, rem[:db]
+
+
+def _mul_ext(a, b, F) -> list:
+    """a*b over an extension field F for nonempty coefficient sequences,
+    by a schoolbook loop on F's tables."""
+    add, mul = F._add, F._mul
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            row = mul[x]
+            for j, y in enumerate(b, i):
+                out[j] = add[out[j]][row[y]]
+    return out
 
 
 class Poly:
@@ -369,52 +392,68 @@ class Poly:
         obj._pk = n
         return obj
 
+    # Over characteristic 2 an extension field's codes are bit vectors of
+    # coordinates, so XOR adds them too.
+
     def __add__(self, other):
         self._check_same_field(other)
         F = self.field
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
+        if F.p == 2:
+            out = [x ^ y for x, y in zip(a, b)]
+        elif F.e == 1:
+            p = F.p
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            add = F._add
+            out = [add[x][y] for x, y in zip(a, b)]
+        out.extend(a[len(b):])
         return Poly._from_list(F, out)
 
     def __neg__(self):
         F = self.field
-        return Poly._make(F, tuple(F.neg(c) for c in self.coeffs))
+        if F.p == 2:
+            return self
+        if F.e == 1:
+            p = F.p
+            return Poly._make(F, tuple(p - c if c else 0 for c in self.coeffs))
+        neg = F._neg
+        return Poly._make(F, tuple(neg[c] for c in self.coeffs))
 
     def __sub__(self, other):
+        if self.field.p == 2:
+            return self + other
         self._check_same_field(other)
         F = self.field
         a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * max(0, len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = F.sub(out[i], c)
-        return Poly._from_list(F, out)
-
-    def _schoolbook_mul(self, other) -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+        if len(a) < len(b):
+            a += (0,) * (len(b) - len(a))
+        if F.e == 1:
+            p = F.p
+            out = [(x - y) % p for x, y in zip(a, b)]
+        else:
+            add, neg = F._add, F._neg
+            out = [add[x][neg[y]] for x, y in zip(a, b)]
+        out.extend(a[len(b):])
         return Poly._from_list(F, out)
 
     def __mul__(self, other):
         self._check_same_field(other)
         F = self.field
         a, b = self.coeffs, other.coeffs
-        if F.e > 1 or not a or not b:
-            return self._schoolbook_mul(other)
+        if not a or not b:
+            return Poly.zero(F)
+        # a product of nonzero polynomials over a field has a nonzero top term
+        if F.e > 1:
+            return Poly._make(F, tuple(_mul_ext(a, b, F)))
         if F.p == 2 and len(a) + len(b) >= _PACK_MIN_LEN:
             return Poly._from_packed(F, _mul2(self._packed(), other._packed()))
-        # a product of nonzero polynomials over a field has a nonzero top term
         return Poly._make(F, tuple(_mul_p(a, b, F.p)))
 
     def __pow__(self, k: int):
@@ -569,16 +608,103 @@ def poly_xgcd(a: Poly, b: Poly):
     return r0.scaled(inv), u0.scaled(inv), v0.scaled(inv)
 
 
+# -- CRT lifts in Kronecker form ---------------------------------------------
+#
+# A lift sums products c_i*C_i of a short c_i and a long cofactor C_i, so
+# each C_i is packed into one int once and the sum is kept packed (Kronecker
+# substitution with segments, MCA section 8.4).  Coefficient j of t fills
+# block j, 2e-1 slots wide, and its k-th coordinate over F_p (base-p digit
+# of its code) fills slot k.  A product of two coefficients has degree
+# <= 2e-2 in the field generator, so it stays inside its block.  Over
+# characteristic 2 a slot is a bit, products are carry-less (_mul2) and sums
+# XOR; over odd p a slot is s bytes, wide enough that no sum carries, and
+# each slot is reduced mod p once, when unpacking.  A block read as a
+# base-p number then maps to the code of its element by one table of
+# p^(2e-1) <= 2^15 entries; a prime field's block is its code.
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@lru_cache(maxsize=None)
+def _block_tables(F) -> tuple:
+    """(spread, codes) for an extension field F: spread[c] is the block of
+    code c, and codes[k] the code of the block whose slots read k in base p.
+    """
+    p, e = F.p, F.e
+    spread = tuple(F.coords(c) + (0,) * (e - 1) for c in range(F.q))
+    codes = [0]
+    for k in range(2 * e - 1):
+        xk = F.pow(p, k)  # p is the code of the generator x
+        codes = [F._add[c][F._mul[v][xk]] for v in range(p) for c in codes]
+    return spread, tuple(codes)
+
+
+def _blocks_pack(cs, F, s: int) -> int:
+    """Kronecker form of a polynomial in kernel form, s bytes per odd-p
+    slot (over GF(2) the kernel form is the Kronecker form)."""
+    if F.q == 2:
+        return cs
+    if F.e > 1:
+        spread = _block_tables(F)[0]
+        cs = [d for c in cs for d in spread[c]]
+    if F.p > 2:
+        return _kron_pack(cs, s)
+    return int(bytes(cs)[::-1].translate(_TO_DIGITS), 2) if cs else 0
+
+
+def _blocks_unpack(x: int, F, s: int, n: int) -> list:
+    """The codes of the first n blocks of a Kronecker form."""
+    w = 2 * F.e - 1
+    if F.p > 2:
+        slots = _kron_slots(x.to_bytes(n * w * s, "little"), s, n * w, F.p)
+    else:
+        slots = bin(x)[:1:-1].encode().translate(_FROM_DIGITS) if x else b""
+        slots += bytes(n * w - len(slots))
+    if w == 1:
+        return list(slots)
+    keys = slots[::w]
+    pk = 1
+    for k in range(1, w):
+        pk *= F.p
+        keys = [a + pk * b for a, b in zip(keys, slots[k::w])]
+    codes = _block_tables(F)[1]
+    return [codes[k] for k in keys]
+
+
+def _kernel_form(a: Poly):
+    """The bit-packed int over GF(2), the coefficient tuple otherwise."""
+    return a._packed() if a.field.q == 2 else a.coeffs
+
+
+def _mulmod(a, u, m, F):
+    """a*u mod m, all three in kernel form (u may be zero)."""
+    if F.q == 2:
+        return _divmod2(_mul2(a, u), m)[1]
+    if not a or not u:
+        return ()
+    if F.e > 1:
+        x = _mul_ext(a, u, F)
+        return _divmod_ext(x, m, F)[1] if len(x) >= len(m) else x
+    x = _mul_p(a, u, F.p)
+    return _divmod_p(x, m, F.p)[1] if len(x) >= len(m) else x
+
+
 class CRTBasis:
     """Chinese-remainder data for one list of pairwise coprime moduli P_i.
 
     Built once, lifted many times: the constructor checks coprimality and
-    stores, for each P_i, the cofactor C_i = M/P_i (M = prod P_i) and
-    u_i = C_i^(-1) mod P_i.  `lift` then costs one small product and
-    reduction per modulus and one multiply by C_i, with no gcd work.
+    stores, for each P_i, u_i = C_i^(-1) mod P_i and the cofactor
+    C_i = M/P_i (M = prod P_i), packed once into the Kronecker form above.
+    `lift` takes each short c_i = r_i*u_i mod P_i on the kernels' lists (or
+    bit-packed ints over GF(2)), adds c_i*C_i into one packed int and
+    unpacks that once: no Poly is built per modulus and no field method is
+    called per coefficient.  An odd-p slot of the sum adds at most
+    deg M * e products of two coordinates (c_i has deg P_i terms, and a
+    slot pairs up at most e coordinates), so slots sized for that bound
+    never carry.
     """
 
-    __slots__ = ("modulus", "_terms")
+    __slots__ = ("modulus", "_terms", "_slot")
 
     def __init__(self, moduli):
         moduli = list(moduli)
@@ -593,17 +719,21 @@ class CRTBasis:
                     raise NotCoprime(
                         "moduli %d and %d share a nonconstant factor" % (i, j),
                         (i, j))
-        total = Poly.one(moduli[0].field)
+        F = moduli[0].field
+        total = Poly.one(F)
         for m in moduli:
             total = total * m
+        s = 1 if F.p == 2 else _slot_bytes(total.deg * F.e, F.p)
         terms = []
         for m in moduli:
             cof = total // m
             # a unit modulus gets u = 0: every residue is congruent mod it
             _, u, _ = poly_xgcd(cof % m, m)
-            terms.append((m, u, cof))
+            terms.append((_kernel_form(m), _kernel_form(u),
+                          _blocks_pack(_kernel_form(cof), F, s)))
         self.modulus = total
         self._terms = tuple(terms)
+        self._slot = s
 
     def __len__(self):
         return len(self._terms)
@@ -613,11 +743,19 @@ class CRTBasis:
         residues = list(residues)
         if len(residues) != len(self._terms):
             raise ValueError("residue/modulus count mismatch")
-        acc = Poly.zero(self.modulus.field)
+        F, s = self.modulus.field, self._slot
+        acc = 0
         # each summand has degree < deg P_i + deg C_i = deg M: no final mod M
         for r, (m, u, cof) in zip(residues, self._terms):
-            acc = acc + ((r * u) % m) * cof
-        return acc
+            if r.field is not F and r.field != F:
+                raise ValueError("mixed-field polynomial operation")
+            c = _blocks_pack(_mulmod(_kernel_form(r), u, m, F), F, s)
+            if c:
+                acc = acc ^ _mul2(c, cof) if F.p == 2 else acc + c * cof
+        if F.q == 2:
+            return Poly._from_packed(F, acc)
+        return Poly._from_list(
+            F, _blocks_unpack(acc, F, s, len(self.modulus.coeffs) - 1))
 
 
 def crt(residues, moduli) -> Poly:

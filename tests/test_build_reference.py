@@ -1,0 +1,82 @@
+"""build_counterexample against the per-pair Poly-form construction.
+
+`reference_build` is the construction written plainly: per degree level one
+Poly-form CRT basis (`test_crt.reference_basis`), and per row one division
+`values[rp] % P` for every modulus P, each lift summed as Poly.  The
+library lifts in packed form and reduces each (modulus, residue) pair once;
+its table and every trace row must be equal to these.
+"""
+
+import pytest
+
+from fqtlab import FiniteField, Poly, build_counterexample
+from fqtlab.counterexample import ConstructionTrace, TraceRow
+from fqtlab.functable import FuncTable
+from fqtlab.irreducibles import (count_irreducibles,
+                                 enumerate_monic_irreducibles,
+                                 irreducible_product)
+from fqtlab.poly import polys_up_to
+
+from test_crt import reference_basis
+
+
+def reference_build(field, D):
+    zero = Poly.zero(field)
+    values = {a: zero for a in polys_up_to(field, 0)}
+    rows = []
+    irreds = []
+    for n in range(1, D + 1):
+        irreds.extend(enumerate_monic_irreducibles(field, n))
+        modulus, lift = reference_basis(irreds)
+        base = field.q ** n
+        for k in range(base, base * field.q):
+            b = Poly.from_index(field, k)
+            pairs = tuple((p, b % p) for p in irreds)
+            r = lift([values[rp] % p for p, rp in pairs])
+            value = r + modulus
+            values[b] = value
+            rows.append(TraceRow(b=b, residue_pairs=pairs, crt_value=r,
+                                 modulus=modulus, value=value))
+    return FuncTable(field, D, values), ConstructionTrace(D=D, rows=tuple(rows))
+
+
+SIZES = [((2, 1), 5), ((3, 1), 3), ((2, 2), 3), ((5, 1), 2), ((2, 3), 2),
+         ((3, 2), 2)]
+
+
+@pytest.mark.parametrize("pe, D", SIZES,
+                         ids=["q%dD%d" % (p ** e, D) for (p, e), D in SIZES])
+def test_build_matches_per_pair_reference(pe, D):
+    field = FiniteField(*pe)
+    table, trace = build_counterexample(field, D)
+    ref_table, ref_trace = reference_build(field, D)
+    assert table.to_json() == ref_table.to_json()
+    assert trace.D == ref_trace.D
+    assert len(trace.rows) == len(ref_trace.rows) == field.q ** (D + 1) - field.q
+    for row, ref in zip(trace.rows, ref_trace.rows):
+        assert row == ref
+
+
+def test_build_division_count(monkeypatch):
+    # With the irreducible caches empty, the (q=2, D=5) build divides 710
+    # times to enumerate its irreducibles and 649 times for its five CRT
+    # bases.  Its 62 rows hold 632 (row, modulus) pairs: each costs one
+    # b mod P, while values[rp] mod P is taken once per distinct
+    # (modulus, rp) pair, 264 of them.  The lifts make no Poly division;
+    # per-pair residues and Poly-form lifts made 3,255.
+    for cached in (enumerate_monic_irreducibles, irreducible_product,
+                   count_irreducibles):
+        cached.cache_clear()
+    calls = []
+    divmod_ = Poly.__divmod__
+
+    def counting_divmod(a, b):
+        calls.append(1)
+        return divmod_(a, b)
+
+    monkeypatch.setattr(Poly, "__divmod__", counting_divmod)
+    table, trace = build_counterexample(FiniteField(2), 5)
+    pairs = [(p, rp) for row in trace.rows for p, rp in row.residue_pairs]
+    assert len(trace.rows) == 62 and len(pairs) == 632
+    assert len({(p.coeffs, rp.coeffs) for p, rp in pairs}) == 264
+    assert len(calls) == 710 + 649 + 632 + 264 == 2255

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 import fqtlab.poly
 from fqtlab import (CRTBasis, FiniteField, NotCoprime, Poly,
                     build_counterexample, crt, enumerate_monic_irreducibles,
-                    poly_gcd)
+                    poly_gcd, poly_xgcd)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F5 = FiniteField(5)
 F4 = FiniteField(2, 2)
+M31 = 2 ** 31 - 1
 t = Poly(F2, [0, 1])
 one = Poly.one(F2)
 
@@ -154,3 +155,120 @@ def test_build_counterexample_checks_coprimality_once_per_level(monkeypatch):
     table, trace = build_counterexample(F2, 5)
     assert len(trace.rows) == 62
     assert len(calls) == 1 + 3 + 10 + 28 + 91 == 133
+
+
+def reference_basis(moduli):
+    """(M, lift) for the Poly-form lift: for each modulus P_i, one product
+    r_i*u_i, one reduction mod P_i and one multiply by the cofactor C_i,
+    summed as Poly (each summand has degree < deg M: no final reduction)."""
+    F = moduli[0].field
+    total = Poly.one(F)
+    for m in moduli:
+        total = total * m
+    terms = []
+    for m in moduli:
+        cof = total // m
+        _, u, _ = poly_xgcd(cof % m, m)
+        terms.append((m, u, cof))
+
+    def lift(residues):
+        acc = Poly.zero(F)
+        for r, (m, u, cof) in zip(residues, terms):
+            acc = acc + ((r * u) % m) * cof
+        return acc
+
+    return total, lift
+
+
+def reference_lift(residues, moduli):
+    return reference_basis(moduli)[1](residues)
+
+
+LIFT_FIELDS = [F2, F3, F5, FiniteField(7), F4, FiniteField(2, 3),
+               FiniteField(3, 2), FiniteField(2, 4), FiniteField(M31)]
+
+
+def coprime_pool(draw, field):
+    """Pairwise coprime monic irreducibles: every one of degree <= 3 (<= 2
+    over F16) for small q; over F_(2^31-1), where -1 is a non-square,
+    distinct t + a and t^2 + d^2."""
+    if field.q <= 9:
+        return [m for d in (1, 2, 3)
+                for m in enumerate_monic_irreducibles(field, d)]
+    if field.q == 16:
+        return [m for d in (1, 2)
+                for m in enumerate_monic_irreducibles(field, d)]
+    elems = st.integers(min_value=0, max_value=field.q - 1)
+    roots = draw(st.lists(elems, min_size=1, max_size=8, unique=True))
+    squares = draw(st.lists(st.integers(min_value=1, max_value=field.q - 1),
+                            max_size=3, unique_by=lambda d: d * d % field.q))
+    return ([Poly(field, [a, 1]) for a in roots]
+            + [Poly(field, [d * d % field.q, 0, 1]) for d in squares])
+
+
+@st.composite
+def packed_lift_case(draw):
+    field = draw(st.sampled_from(LIFT_FIELDS))
+    pool = draw(st.permutations(coprime_pool(draw, field)))
+    # composite moduli: consecutive runs of the pool multiplied together
+    moduli = []
+    while pool and len(moduli) < 5:
+        k = draw(st.integers(min_value=1, max_value=3))
+        m = Poly.one(field)
+        for f in pool[:k]:
+            m = m * f
+        moduli.append(m)
+        pool = pool[k:]
+    if draw(st.booleans()):
+        unit = Poly.constant(field, draw(st.integers(min_value=1,
+                                                     max_value=field.q - 1)))
+        moduli.insert(draw(st.integers(min_value=0, max_value=len(moduli))),
+                      unit)
+    coeff = st.integers(min_value=0, max_value=field.q - 1)
+    residues = []
+    for m in moduli:
+        kind = draw(st.sampled_from(["zero", "reduced", "higher"]))
+        n = {"zero": 0, "reduced": m.deg,
+             "higher": m.deg + draw(st.integers(min_value=1, max_value=6))}[kind]
+        residues.append(Poly(field, draw(st.lists(coeff, min_size=n,
+                                                  max_size=n))))
+    return residues, moduli
+
+
+@given(packed_lift_case())
+@settings(max_examples=150, deadline=None)
+def test_packed_lift_matches_poly_form_reference(case):
+    residues, moduli = case
+    basis = CRTBasis(moduli)
+    got = basis.lift(residues)
+    assert got == reference_lift(residues, moduli)
+    assert got.is_zero() or got.deg < basis.modulus.deg
+    for r, m in zip(residues, moduli):
+        assert (got - r) % m == Poly.zero(m.field)
+
+
+def test_packed_lift_wide_slots():
+    # over F_(2^31-1) a slot bounds deg M * (p-1)^2 > 2^64 once deg M >= 5:
+    # the byte-slot path wider than 8 bytes
+    F = FiniteField(M31)
+    moduli = [Poly(F, [a, 1]) for a in (0, 1, 5, 7)] + [Poly(F, [1, 0, 1])]
+    assert fqtlab.poly._slot_bytes(6, M31) > 8
+    residues = [Poly(F, [M31 - 1 - a, a + 2, M31 - 2]) for a in range(5)]
+    basis = CRTBasis(moduli)
+    assert basis.lift(residues) == reference_lift(residues, moduli)
+    assert basis.lift([Poly.zero(F)] * 5) == Poly.zero(F)
+
+
+def test_packed_lift_unit_moduli_only():
+    # every modulus a unit: M is a constant and the lift is 0
+    for field in (F2, F3, F4):
+        moduli = [Poly.one(field), Poly.constant(field, field.q - 1)]
+        residues = [Poly.gen(field), Poly.one(field)]
+        assert CRTBasis(moduli).lift(residues) == Poly.zero(field)
+        assert reference_lift(residues, moduli) == Poly.zero(field)
+
+
+def test_packed_lift_rejects_mixed_fields():
+    basis = CRTBasis([t, P2(1, 1)])
+    with pytest.raises(ValueError):
+        basis.lift([one, Poly.one(F3)])

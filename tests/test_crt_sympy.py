@@ -19,12 +19,30 @@ def to_gf(a):
     return [int(c) for c in reversed(a.coeffs)]
 
 
+M31 = 2 ** 31 - 1
+
+
+def big_prime_pool(draw, field):
+    """Distinct t + a and t^2 + d^2 over F_(2^31-1): p = 3 mod 4 makes -1,
+    and so -d^2, a non-square, so each quadratic is irreducible."""
+    p = field.p
+    roots = draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                          min_size=1, max_size=6, unique=True))
+    squares = draw(st.lists(st.integers(min_value=1, max_value=p - 1),
+                            max_size=3, unique_by=lambda d: d * d % p))
+    return ([Poly(field, [a, 1]) for a in roots]
+            + [Poly(field, [d * d % p, 0, 1]) for d in squares])
+
+
 @st.composite
 def lift_instance(draw):
-    field = FiniteField(draw(st.sampled_from([2, 3, 5, 7])))
-    pool = []
-    for d in (1, 2, 3):
-        pool.extend(enumerate_monic_irreducibles(field, d))
+    field = FiniteField(draw(st.sampled_from([2, 3, 5, 7, M31])))
+    if field.p == M31:
+        pool = big_prime_pool(draw, field)
+    else:
+        pool = []
+        for d in (1, 2, 3):
+            pool.extend(enumerate_monic_irreducibles(field, d))
     k = draw(st.integers(min_value=1, max_value=6))
     moduli = draw(st.permutations(pool))[:k]
     residues = [

@@ -106,6 +106,16 @@ def test_divmod_invariant(a, b):
     assert r.is_zero() or r.deg < b.deg
 
 
+def schoolbook_mul(a, b):
+    """a*b by the textbook double loop on the field's own methods."""
+    F = a.field
+    out = [0] * max(0, len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return Poly(F, out)
+
+
 def test_packed_matches_schoolbook():
     # GF(2) products cross the bit-packing threshold around length 24
     import random
@@ -113,7 +123,7 @@ def test_packed_matches_schoolbook():
     for _ in range(40):
         a = Poly(F2, [rng.randrange(2) for _ in range(rng.randrange(1, 90))])
         b = Poly(F2, [rng.randrange(2) for _ in range(rng.randrange(1, 90))])
-        assert a * b == a._schoolbook_mul(b)
+        assert a * b == schoolbook_mul(a, b)
         if not b.is_zero():
             q, r = divmod(a, b)
             assert q * b + r == a
