@@ -262,7 +262,7 @@ def _cmd_linear_relation(args, budgets):
         caps = relations.LinearCaps(a, b, c, d)
     else:
         caps = relations.LinearCaps(0, 0, 3, 1)
-    samples = [(u ** n, table.lookup(u ** n)) for n in range(args.N + 1)]
+    samples = relations.power_samples(table, u, args.N)
     ansatz = relations.find_linear_relation(samples, caps,
                                             budget=budgets["matrix"])
     result = {"caps": caps, "N": args.N, "U": u,
@@ -287,7 +287,8 @@ def _cmd_recover(args, budgets):
 
 def _cmd_fit(args, budgets):
     table = _load_table(args.table)
-    report = relations.fit_polynomial(table.items(), args.B)
+    report = relations.fit_polynomial(table.items(), args.B,
+                                      budget=budgets["matrix"])
     result = {"B": args.B,
               "coeffs": [{"num": c.num, "den": c.den} for c in report.coeffs],
               "holdout_ok": report.holdout_ok,

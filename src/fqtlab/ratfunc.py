@@ -213,6 +213,19 @@ def kpoly_eval(a, x: RatFunc) -> RatFunc:
     return out
 
 
+def kpoly_clear(a, field) -> tuple[tuple[Poly, ...], Poly]:
+    """Clear denominators once: ((N_j), d) with d the monic lcm of the
+    denominators of a and N_j = a_j * d, so a(x) = N(x)/d for every x.
+
+    Coefficients over field; an empty a gives ((), 1).
+    """
+    d = Poly.one(field)
+    for c in a:
+        if c.den.deg > 0:
+            d = d // poly_gcd(d, c.den) * c.den
+    return tuple(c.num * (d // c.den) for c in a), d
+
+
 def lagrange_interpolate(points) -> tuple[RatFunc, ...]:
     """Unique K-poly of degree < len(points) through the given (x, y) pairs.
 

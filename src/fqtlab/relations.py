@@ -29,8 +29,8 @@ from .functable import FuncTable, verify_p3
 from .irreducibles import irreducible_product
 from .linalg import kernel_vector
 from .poly import NEG_INF, Poly
-from .ratfunc import (RatFunc, kpoly, kpoly_divmod, kpoly_eval,
-                      kpoly_from_polys, kpoly_neg, lagrange_interpolate)
+from .ratfunc import (RatFunc, kpoly_clear, kpoly_divmod, kpoly_from_polys,
+                      kpoly_neg, lagrange_interpolate)
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,7 @@ class RelationQ:
     def evaluate(self, field, x: Poly, y: Poly) -> Poly:
         """Direct evaluation, independent of any solver state: Horner in Y
         over the Y-slices, and in X within each slice."""
-        def horner(cs, z):
-            return reduce(lambda acc, c: acc * z + c, reversed(cs))
-        return horner([horner(s, x) for s in self.y_slices(field)], y)
+        return _evaluate_slices(self.y_slices(field), x, y)
 
     def y_slices(self, field) -> list[list[Poly]]:
         """P_k(X) coefficients: slices[k][j] in F_q[t], trailing zeros kept."""
@@ -89,6 +87,18 @@ class RelationQ:
         step = b.column(1, 0, 0)  # columns of one t-power
         return [[Poly(field, self.coeffs[b.column(0, j, k)::step])
                  for j in range(b.j_max + 1)] for k in range(b.k_max + 1)]
+
+
+def _horner(cs, z: Poly) -> Poly:
+    """sum cs[j] * z^j in F_q[t]; zero for an empty cs."""
+    if not cs:
+        return Poly.zero(z.field)
+    return reduce(lambda acc, c: acc * z + c, reversed(cs))
+
+
+def _evaluate_slices(slices, x: Poly, y: Poly) -> Poly:
+    """Q(x, y) from Q's Y-slices: Horner in Y, and in X within each slice."""
+    return _horner([_horner(s, x) for s in slices], y)
 
 
 def _powers(x: Poly, n: int) -> list[Poly]:
@@ -150,8 +160,9 @@ def find_relation(table: FuncTable, bounds: TriDegreeBounds,
     if vec is None:
         return None
     rel = RelationQ(bounds=bounds, coeffs=tuple(vec))
+    slices = rel.y_slices(field)
     for a, v in table.items():
-        if not rel.evaluate(field, a, v).is_zero():
+        if not _evaluate_slices(slices, a, v).is_zero():
             raise AssertionError("solver returned a non-vanishing relation")
     return rel
 
@@ -319,6 +330,21 @@ def find_linear_relation(samples, caps: LinearCaps,
     return ansatz
 
 
+def power_samples(table: FuncTable, u: Poly, N: int) -> list:
+    """The samples (u^n, f(u^n)) for n = 0..N, checked before any is built.
+
+    A constant or zero u has at most q distinct powers, so N >= q repeats an
+    input; a nonconstant u with deg u * N > D leaves the table domain.  Both
+    fail with the error the full sample list would have raised.
+    """
+    if u.deg < 1:
+        if N >= table.field.q:
+            raise ValueError("sample inputs must be pairwise distinct")
+    elif u.deg * N > table.D:
+        table.lookup(u ** (table.D // u.deg + 1))  # raises: first power past D
+    return [(u ** n, table.lookup(u ** n)) for n in range(N + 1)]
+
+
 def recover_polymap(ansatz: LinearAnsatz) -> tuple[RatFunc, ...]:
     """F = -Q/P by exact division in K[X]; a remainder means the ansatz does
     not certify a polynomial map."""
@@ -344,24 +370,37 @@ class FitReport:
     values_in_ring: bool
 
 
-def fit_polynomial(points, B: int, max_mismatches: int = 10) -> FitReport:
+def fit_polynomial(points, B: int, max_mismatches: int = 10,
+                   budget: int = DEFAULT_MATRIX_BUDGET) -> FitReport:
     """Interpolate degree <= B through the first B+1 points, then judge it.
 
     Reports whether the interpolant matches every remaining point and whether
     all its values on the given inputs land in F_q[t] rather than properly
-    in K.
+    in K.  Interpolating solves the (B+1)-square Vandermonde system over K,
+    whose entries x^j reach t-degree B * max deg x: eliminating it makes
+    (B+1)^3 entry updates of up to B * max deg x + 1 coefficients each, and
+    that product is checked against the budget before interpolating.
     """
     points = list(points)
+    if B < 0:
+        raise ValueError("B must be >= 0")
     if len(points) < B + 1:
         raise ValueError("need at least B+1 points")
+    dx = max(max(x.deg, 0) for x, _ in points[:B + 1])
+    if (B + 1) ** 3 * (B * dx + 1) > budget:
+        raise BudgetExceeded("interpolation through %d points exceeds %d "
+                             "matrix entry updates" % (B + 1, budget))
     coeffs = lagrange_interpolate(points[:B + 1])
+    # the interpolant is N(X)/d: its value at x lies in F_q[t] iff d | N(x),
+    # and equals y iff N(x) = d*y
+    nums, d = kpoly_clear(coeffs, points[0][0].field)
     mism = []
     in_ring = True
     for x, y in points:
-        val = kpoly_eval(coeffs, RatFunc.from_poly(x))
-        if not val.is_poly():
+        val = _horner(nums, x)
+        if in_ring and d.deg > 0 and not (val % d).is_zero():
             in_ring = False
-        if val != RatFunc.from_poly(y) and len(mism) < max_mismatches:
+        if len(mism) < max_mismatches and val != d * y:
             mism.append(x)
     return FitReport(coeffs=coeffs, degree_cap=B, holdout_ok=not mism,
                      mismatches=tuple(mism), values_in_ring=in_ring)
@@ -498,6 +537,16 @@ class PipelineReport:
     ok: bool
 
 
+def _reproduces(recovered, table: FuncTable) -> bool:
+    """Whether the K-poly map agrees with the table on every entry.
+
+    recovered = N(X)/d with d != 0, so F(A) = f(A) iff N(A) = d*f(A): one
+    Poly Horner per entry, with no per-entry normalisation in K.
+    """
+    nums, d = kpoly_clear(recovered, table.field)
+    return all(_horner(nums, a) == d * v for a, v in table.items())
+
+
 def run_pipeline(table: FuncTable, bounds: TriDegreeBounds, u: Poly, N: int,
                  caps: LinearCaps | None = None) -> PipelineReport:
     """Relation -> degree bound -> linear ansatz on powers of u -> exact
@@ -527,8 +576,7 @@ def run_pipeline(table: FuncTable, bounds: TriDegreeBounds, u: Poly, N: int,
             if caps is None:
                 caps = LinearCaps(p_deg_x=0, p_coeff_deg=0,
                                   q_deg_x=cert.c3, q_coeff_deg=cert.c4)
-            samples = [(u ** n, table.lookup(u ** n)) for n in range(N + 1)]
-            ansatz = find_linear_relation(samples, caps)
+            ansatz = find_linear_relation(power_samples(table, u, N), caps)
             steps.append(("linear_relation", ansatz is not None,
                           "found" if ansatz else "trivial kernel under caps"))
     if ansatz is not None:
@@ -538,9 +586,7 @@ def run_pipeline(table: FuncTable, bounds: TriDegreeBounds, u: Poly, N: int,
         except (ValueError, ExactDivisionError) as exc:
             steps.append(("recover", False, str(exc)))
     if recovered is not None:
-        reproduces = all(
-            kpoly_eval(recovered, RatFunc.from_poly(a)) == RatFunc.from_poly(v)
-            for a, v in table.items())
+        reproduces = _reproduces(recovered, table)
         steps.append(("reproduce_table", reproduces,
                       "matches all %d entries" % (table.field.q ** (table.D + 1))
                       if reproduces else "some entry disagrees"))

@@ -296,6 +296,41 @@ def test_fit(capsys, growth_table_path):
     assert envelope(out)["result"]["holdout_ok"] is False
 
 
+def test_fit_budget(capsys, growth_table_path):
+    code, out, err = run_cli(capsys, "fit", "--table", growth_table_path,
+                             "--B", "15", "--budget", "1000")
+    assert code == 1 and out == ""
+    assert ("interpolation through 16 points exceeds 1000 matrix entry "
+            "updates") in err
+
+
+def test_sample_checks_before_building(capsys, cube_table_path, monkeypatch):
+    # A constant U repeats an input once N >= q, and deg U * N > D leaves
+    # the domain; both fail at once, as the full sample list failed.  At
+    # N = 1 the constant U still builds its two samples.
+    lookup = FuncTable.lookup
+    calls = []
+
+    def few_lookups(self, a):
+        calls.append(a)
+        if len(calls) > 10:
+            raise AssertionError("samples were built")
+        return lookup(self, a)
+
+    monkeypatch.setattr(FuncTable, "lookup", few_lookups)
+    big = str(10 ** 12)
+    for cmd in (("linear-relation",), ("pipeline", "--bounds", "1,3,1")):
+        argv = cmd + ("--table", cube_table_path, "--U", "1", "--N")
+        small = run_cli(capsys, *argv, "1")
+        assert small[0] == 1 and "pairwise distinct" in small[2]
+        assert run_cli(capsys, *argv, big) == small
+        calls.clear()
+    argv = ("linear-relation", "--table", cube_table_path, "--U", "t", "--N")
+    small = run_cli(capsys, *argv, "4")
+    assert small[0] == 1 and "outside table domain" in small[2]
+    assert run_cli(capsys, *argv, big) == small
+
+
 def test_vanishing_check(capsys, tmp_path):
     zero_path = str(tmp_path / "zero.json")
     FuncTable.from_function(F2, 2, lambda a: Poly.zero(F2)).save(zero_path)

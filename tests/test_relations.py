@@ -7,7 +7,8 @@ import pytest
 
 from fqtlab import (BudgetExceeded, DeltaSpec, ExactDivisionError, FiniteField,
                     FuncTable, LinearAnsatz, LinearCaps, Poly, RatFunc,
-                    RelationQ, TriDegreeBounds, build_counterexample,
+                    RelationQ, TableDomainError, TriDegreeBounds,
+                    build_counterexample,
                     check_degree_bound, check_vanishing_lemma, delta,
                     degree_bound_from_relation, find_linear_relation,
                     find_relation, fit_polynomial, linear_growth_fit, radical,
@@ -321,6 +322,50 @@ def test_fit_polynomial_mispredicts_fast_growth():
 def test_fit_polynomial_needs_enough_points():
     with pytest.raises(ValueError):
         fit_polynomial(analytic_samples(2), 5)
+
+
+def test_fit_polynomial_budget_checked_before_interpolating(monkeypatch):
+    def no_interpolation(points):
+        raise AssertionError("interpolation started")
+
+    monkeypatch.setattr(relations, "lagrange_interpolate", no_interpolation)
+    tab, _ = build_counterexample(F2, 3)
+    # 16 nodes of degree <= 3: eliminating the 16-square Vandermonde system
+    # over K makes 16^3 updates of entries of t-degree <= 45, 188,416 in all
+    with pytest.raises(BudgetExceeded):
+        fit_polynomial(tab.items(), 15, budget=188415)
+    with pytest.raises(AssertionError):
+        fit_polynomial(tab.items(), 15, budget=188416)
+    with pytest.raises(ValueError):
+        fit_polynomial(tab.items(), -1)
+
+
+def test_power_samples_checked_before_building(monkeypatch):
+    tab = FuncTable.from_function(F3, 3, cube_map)
+    u = Poly(F3, [0, 1])
+    assert relations.power_samples(tab, u, 3) == [
+        (u ** n, tab.lookup(u ** n)) for n in range(4)]
+    # a constant u has at most q distinct powers
+    two = Poly.constant(F3, 2)
+    assert len(relations.power_samples(tab, two, 1)) == 2
+    lookups = []
+    lookup = FuncTable.lookup
+
+    def one_lookup(self, a):
+        lookups.append(a)
+        if len(lookups) > 1:
+            raise AssertionError("samples were built")
+        return lookup(self, a)
+
+    monkeypatch.setattr(FuncTable, "lookup", one_lookup)
+    for c in (two, Poly.one(F3), Poly.zero(F3)):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            relations.power_samples(tab, c, 10 ** 12)
+    assert lookups == []
+    # deg u * N > D: only the first power past degree D is looked up
+    with pytest.raises(TableDomainError, match="outside table domain"):
+        relations.power_samples(tab, u * u, 10 ** 12)
+    assert lookups == [u ** 4]
 
 
 # -- vanishing audit --------------------------------------------------------------
