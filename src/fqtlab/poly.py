@@ -22,6 +22,12 @@ it.  Extension fields run schoolbook loops on the field's tables.  Sums and
 differences act coefficientwise on the codes: XOR over characteristic 2,
 plain ints mod p over other prime fields, the tables otherwise.
 
+`poly_gcd` runs all of Euclid on kernel forms, at every size, and builds one
+Poly at the end: a remainder-only shift/XOR loop on packed ints over GF(2)
+(`_rem2`), one Kronecker form per operand with unreduced slots over other
+prime fields (`_gcd_p`), a remainder-only table loop over extension fields
+(`_rem_ext`).
+
 `CRTBasis` lifts residues in Kronecker form: each cofactor M/P_i is packed
 into one int once per basis, with a block of 2e-1 slots per coefficient of
 t, and a lift sums the products of the short c_i with those ints and
@@ -92,6 +98,17 @@ def _divmod2(a: int, b: int) -> tuple[int, int]:
         q |= 1 << shift
         da = a.bit_length()
     return q, a
+
+
+def _rem2(a: int, b: int) -> int:
+    """a mod b for bit-packed a and nonzero b: `_divmod2` without the
+    quotient."""
+    db = b.bit_length()
+    da = a.bit_length()
+    while da >= db:
+        a ^= b << (da - db)
+        da = a.bit_length()
+    return a
 
 
 # -- prime fields: coefficient lists of plain ints ---------------------------
@@ -211,8 +228,9 @@ def _divmod_p(a, b, p: int, inverse=None) -> tuple[list, list]:
     return quot, [x % p for x in rem[:db]]
 
 
-def _divmod_ext(a, b, F) -> tuple[list, list]:
-    """Quotient and remainder over an extension field F, len(a) >= len(b) > 0.
+def _rem_ext(a, b, F, quot=None) -> list:
+    """a mod b over an extension field F, len(a) >= len(b) > 0, with
+    trailing zeros left in; the quotient goes into `quot` if one is given.
 
     A schoolbook loop on F's addition and multiplication tables: each step
     adds f * (-b_j), and -(f * b_j) = f * (-b_j) lets the row of f in the
@@ -223,16 +241,16 @@ def _divmod_ext(a, b, F) -> tuple[list, list]:
     inv = F._inv[b[-1]]
     low = [F._neg[y] for y in b[:db]]
     rem = list(a)
-    quot = [0] * (len(a) - db)
-    for i in range(len(quot) - 1, -1, -1):
+    for i in range(len(a) - db - 1, -1, -1):
         c = rem[i + db]
         if c:
             f = mul[c][inv]
-            quot[i] = f
+            if quot is not None:
+                quot[i] = f
             row = mul[f]
             for j, y in enumerate(low, i):
                 rem[j] = add[rem[j]][row[y]]
-    return quot, rem[:db]
+    return rem[:db]
 
 
 def _mul_ext(a, b, F) -> list:
@@ -481,7 +499,11 @@ class Poly:
         if F.q == 2 and len(a) >= _PACK_MIN_LEN:
             q, r = _divmod2(self._packed(), other._packed())
             return Poly._from_packed(F, q), Poly._from_packed(F, r)
-        q, r = (_divmod_p(a, bc, F.p) if F.e == 1 else _divmod_ext(a, bc, F))
+        if F.e > 1:
+            q = [0] * (len(a) - db)
+            r = _rem_ext(a, bc, F, q)
+        else:
+            q, r = _divmod_p(a, bc, F.p)
         return Poly._make(F, tuple(q)), Poly._from_list(F, r)
 
     def __floordiv__(self, other):
@@ -585,10 +607,109 @@ def monic_polys_of_degree(field, d: int):
 # -- gcd machinery ------------------------------------------------------------------
 
 
+# Over odd p each gcd operand is packed once into a Kronecker form with its
+# coefficients in reverse, so the leading coefficient sits in slot 0 and a
+# division step is: read slot 0 mod p, shift it out, and add f times the
+# divisor without its leading slot, f = -lead/lc(divisor).  Slots are left
+# unreduced; each form carries a bound on its slots and is reduced mod p
+# (unpack, % p, repack) only when the next step could carry out of a slot.
+# A slot holds _GCD_HEADROOM * (p-1)^2, rounded up as in _slot_bytes, so its
+# width follows p.  A step adds at most (p-1) times the divisor's bound, so
+# bounds grow about 2(p-1)-fold per remainder phase: at p = 7 a form goes
+# about 8 phases between reductions, more at smaller p.  Timed on the 6,043
+# gcd inputs of one seed-1 `radical` pass, headroom 2^16 and 2^32 ran alike
+# and 2^8 about 25 % slower.  Above p of about 2^24 no `array` type holds a
+# slot, the reductions go bytewise, and with that headroom one came in
+# every phase: degree-300 gcds ran 2-4x slower than the Poly-level Euclid
+# at p = 2^24+43, 2^31-1, 2^64+13 and 2^80+.  There a slot is widened to
+# (2p)^4 * (p-1)^2, about 4 phases; of 1 to 24 phases, 4 timed best, level
+# with the Poly-level Euclid.  There is no size crossover: the packed loops
+# beat the Poly-level Euclid in every length bucket timed, from under 10 to
+# 700.
+_GCD_HEADROOM = 1 << 16
+
+
+def _kron_reduce(x: int, s: int, n: int, p: int) -> int:
+    """The Kronecker form of n slots of s bytes with each slot taken mod p."""
+    return _kron_pack(_kron_slots(x.to_bytes(n * s, "little"), s, n, p), s)
+
+
+def _gcd_p(a, b, p: int) -> list:
+    """The monic gcd over F_p, p odd, of nonempty reduced coefficient
+    sequences without trailing zeros."""
+    s = _slot_bytes(_GCD_HEADROOM, p)
+    if s > 8:
+        s = _slot_bytes((2 * p) ** 4, p)
+    w = 8 * s
+    full = (1 << w) - 1  # the largest slot value, and the mask of slot 0
+    if len(a) < len(b):
+        a, b = b, a
+    x, nx, mx = _kron_pack(a[::-1], s), len(a), p - 1
+    y, ny, my = _kron_pack(b[::-1], s), len(b), p - 1
+    lc = b[-1]
+    while True:
+        # x mod y: nx >= ny, slots of x at most mx, of y at most my
+        inv = pow(lc, -1, p)
+        low = y >> w
+        step = (p - 1) * my
+        while nx >= ny:
+            if mx + step > full:
+                x, mx = _kron_reduce(x, s, nx, p), p - 1
+                if mx + step > full:
+                    y, my = _kron_reduce(y, s, ny, p), p - 1
+                    low = y >> w
+                    step = (p - 1) * my
+            c = (x & full) % p
+            x >>= w
+            nx -= 1
+            if c:
+                x += (p - c) * inv % p * low
+                mx += step
+        # the remainder's leading coefficient, past slots that are 0 mod p
+        while nx:
+            c = (x & full) % p
+            if c:
+                break
+            x >>= w
+            nx -= 1
+        if not nx:
+            break
+        x, nx, mx, y, ny, my, lc = y, ny, my, x, nx, mx, c
+    # inv is still 1/lc(y) from y's last phase as divisor
+    return [c * inv % p
+            for c in _kron_slots(y.to_bytes(ny * s, "little"), s, ny, p)[::-1]]
+
+
+def _gcd_ext(a: list, b: list, F) -> list:
+    """The monic gcd over an extension field F of nonempty coefficient
+    lists without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _rem_ext(a, b, F)
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    row = F._mul[F._inv[a[-1]]]
+    return [row[c] for c in a]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    """The monic gcd of a and b; zero if both are zero."""
+    a._check_same_field(b)
+    F = a.field
+    if F.q == 2:
+        x, y = a._packed(), b._packed()
+        while y:
+            x, y = y, _rem2(x, y)
+        return Poly._from_packed(F, x)
+    if not b.coeffs:
+        return a.monic()
+    if not a.coeffs:
+        return b.monic()
+    if F.e > 1:
+        return Poly._make(F, tuple(_gcd_ext(a.coeffs, b.coeffs, F)))
+    return Poly._make(F, tuple(_gcd_p(a.coeffs, b.coeffs, F.p)))
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -679,12 +800,12 @@ def _kernel_form(a: Poly):
 def _mulmod(a, u, m, F):
     """a*u mod m, all three in kernel form (u may be zero)."""
     if F.q == 2:
-        return _divmod2(_mul2(a, u), m)[1]
+        return _rem2(_mul2(a, u), m)
     if not a or not u:
         return ()
     if F.e > 1:
         x = _mul_ext(a, u, F)
-        return _divmod_ext(x, m, F)[1] if len(x) >= len(m) else x
+        return _rem_ext(x, m, F) if len(x) >= len(m) else x
     x = _mul_p(a, u, F.p)
     return _divmod_p(x, m, F.p)[1] if len(x) >= len(m) else x
 
@@ -830,8 +951,7 @@ class RemainderTree:
         if F.q == 2:
             rems = [x._packed()]
             for level in reversed(levels):
-                rems = [_divmod2(rems[i >> 1], b)[1]
-                        for i, b in enumerate(level)]
+                rems = [_rem2(rems[i >> 1], b) for i, b in enumerate(level)]
             return rems  # over GF(2) the packed int is the index
         rems = [list(x.coeffs)]
         for level in reversed(levels):
@@ -839,8 +959,8 @@ class RemainderTree:
             for i, (b, inverse) in enumerate(level):
                 r = rems[i >> 1]
                 if len(r) >= len(b):
-                    r = (_divmod_ext(r, b, F) if F.e > 1
-                         else _divmod_p(r, b, F.p, inverse))[1]
+                    r = (_rem_ext(r, b, F) if F.e > 1
+                         else _divmod_p(r, b, F.p, inverse)[1])
                     while r and not r[-1]:
                         r.pop()
                 out.append(r)

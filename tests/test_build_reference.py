@@ -58,12 +58,15 @@ def test_build_matches_per_pair_reference(pe, D):
 
 
 def test_build_division_count(monkeypatch):
-    # With the irreducible caches empty, the (q=2, D=5) build divides 710
-    # times to enumerate its irreducibles and 649 times for its five CRT
-    # bases.  Its 62 rows hold 632 (row, modulus) pairs: each costs one
-    # b mod P, while values[rp] mod P is taken once per distinct
-    # (modulus, rp) pair, 264 of them.  The lifts make no Poly division;
-    # per-pair residues and Poly-form lifts made 3,255.
+    # With the irreducible caches empty, the (q=2, D=5) build divides 550
+    # times to enumerate its irreducibles (the reductions in Rabin's test)
+    # and 158 times for its five CRT bases: one M // P and one C % P per
+    # modulus, 2 * (2 + 3 + 5 + 8 + 14) = 64, and 94 in the xgcds for the
+    # inverses.  poly_gcd runs on packed ints and makes no Poly division.
+    # Its 62 rows hold 632 (row, modulus) pairs: each costs one b mod P,
+    # while values[rp] mod P is taken once per distinct (modulus, rp) pair,
+    # 264 of them.  The lifts make no Poly division; per-pair residues and
+    # Poly-form lifts made 3,255, and Poly-level Euclid 2,255.
     for cached in (enumerate_monic_irreducibles, irreducible_product,
                    count_irreducibles):
         cached.cache_clear()
@@ -79,4 +82,4 @@ def test_build_division_count(monkeypatch):
     pairs = [(p, rp) for row in trace.rows for p, rp in row.residue_pairs]
     assert len(trace.rows) == 62 and len(pairs) == 632
     assert len({(p.coeffs, rp.coeffs) for p, rp in pairs}) == 264
-    assert len(calls) == 710 + 649 + 632 + 264 == 2255
+    assert len(calls) == 550 + (64 + 94) + 632 + 264 == 1604
