@@ -99,6 +99,11 @@ class FiniteField:
             raise ValueError("p must be prime, got %r" % (p,))
         if e < 1:
             raise ValueError("extension degree must be >= 1")
+        # p >= 2, so e > 8 puts p^e past the table limit: refuse it before
+        # computing a power that may not fit in memory
+        if e > 1 and (e > 8 or p ** e > _EXT_TABLE_LIMIT):
+            raise ValueError(
+                "extension fields are supported up to q = %d" % _EXT_TABLE_LIMIT)
         self.p = p
         self.e = e
         self.q = p ** e
@@ -108,9 +113,6 @@ class FiniteField:
             self.modulus = None
             self._add = self._mul = self._inv = self._neg = None
             return
-        if self.q > _EXT_TABLE_LIMIT:
-            raise ValueError(
-                "extension fields are supported up to q = %d" % _EXT_TABLE_LIMIT)
         if modulus is None:
             modulus = default_modulus(p, e)
         else:

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 from operator import mul
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
+from .poly import _pack2
 
 
 def _pack_rows(rows):
     """GF(2) rows as ints, bit j = column j; int rows pass through."""
-    return [r if isinstance(r, int)
-            else int(b"0" + bytes(map(bool, r))[::-1].translate(_BITS), 2)
-            for r in rows]
+    return [r if isinstance(r, int) else _pack2(r) for r in rows]
 
 
 def _rref_gf2(rows, ncols):

@@ -10,31 +10,38 @@ highest index down.  Equivalently, polynomials of a fixed field are ordered
 by their index sum(code(c_i) * q^i), which `index`/`from_index` expose; all
 enumeration in the package walks indices ascending.
 
-Multiplication and division pick a kernel by field kind and size; the
-results never depend on the choice.  GF(2) polynomials become bit-packed
-ints (one bit per coefficient) once len(a) + len(b) reaches _PACK_MIN_LEN.
-Other prime fields run loops on plain ints, reduced mod p once at the end.
-Once len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
-(Kronecker substitution).  `powmod` divides many products by one modulus:
-once (quotient length)*deg(modulus) reaches _NEWTON_MIN_WORK, it computes a
-Newton inverse of the reversed modulus once and takes every quotient from
-it.  Extension fields run schoolbook loops on the field's tables.  Sums and
-differences act coefficientwise on the codes: XOR over characteristic 2,
-plain ints mod p over other prime fields, the tables otherwise.
+Arithmetic runs on kernel forms: a bit-packed int over GF(2) (bit i is the
+coefficient of t^i), the coefficient sequence otherwise.  One private layer
+picks the kernel by field kind: `_kmul` multiplies, `_krem` takes a
+remainder, `_newton_inverse` decides once per fixed modulus whether its
+divisions take their quotients from a Newton inverse, and `Poly._wrap` is
+the only way back to a Poly.  `Poly.__mul__`, `Poly.powmod`, `poly_gcd`
+(over GF(2) and extension fields), `CRTBasis.lift` and `RemainderTree` all
+go through it; `Poly.__divmod__` is the only path that returns a quotient.
+The results never depend on the kernel chosen.
 
-`poly_gcd` runs all of Euclid on kernel forms, at every size, and builds one
-Poly at the end: a remainder-only shift/XOR loop on packed ints over GF(2)
-(`_rem2`), one Kronecker form per operand with unreduced slots over other
-prime fields (`_gcd_p`), a remainder-only table loop over extension fields
-(`_rem_ext`).
+GF(2) forms multiply and reduce by shifts and XOR at every length.  Other
+prime fields run loops on plain ints, reduced mod p once at the end; once
+len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
+(Kronecker substitution).  Once (quotient length)*deg(modulus) reaches
+_NEWTON_MIN_WORK, a division by a fixed modulus (powmod's, a remainder
+tree node's) takes its quotient from a Newton inverse of the reversed
+modulus, computed once.  Extension fields run schoolbook loops on the
+field's tables.  Sums and differences act coefficientwise on the codes: XOR
+over characteristic 2, plain ints mod p over other prime fields, the tables
+otherwise.
+
+`poly_gcd` runs all of Euclid on kernel forms and builds one Poly at the
+end; over odd p it packs each operand once into a Kronecker form with
+unreduced slots (`_gcd_p`).
 
 `CRTBasis` lifts residues in Kronecker form: each cofactor M/P_i is packed
 into one int once per basis, with a block of 2e-1 slots per coefficient of
 t, and a lift sums the products of the short c_i with those ints and
 unpacks the sum once.  `RemainderTree` reduces one polynomial mod every
 modulus of a fixed list at once: it descends the subproduct tree of the
-moduli with the same kernels, so the division work of all moduli is shared
-by one descent.
+moduli with `_krem`, so the division work of all moduli is shared by one
+descent.
 """
 
 from __future__ import annotations
@@ -50,31 +57,36 @@ from .field import FiniteField
 
 NEG_INF = float("-inf")
 
-# Size crossovers between kernels, measured with timeit on random inputs
-# (p = 3, 7 and 10007 for the odd-p kernels).  A schoolbook loop costs one
-# step per pair of terms, so the odd-p switches are on that count: a
-# product of len(a)*len(b) terms, a division of (quotient length)*deg(b).
-# GF(2) bit-packing pays once len(a) + len(b) reaches _PACK_MIN_LEN.
-_PACK_MIN_LEN = 24
-# odd p: Kronecker multiply from _KRON_MIN_WORK term pairs on,
+# Size crossovers between the odd-p kernels, measured with timeit on random
+# inputs (p = 3, 7 and 10007).  A schoolbook loop costs one step per pair
+# of terms, so the switches are on that count: a product of len(a)*len(b)
+# terms, a division of (quotient length)*deg(b).
+# Kronecker multiply from _KRON_MIN_WORK term pairs on,
 _KRON_MIN_WORK = 100
-# and Newton division in powmod from _NEWTON_MIN_WORK, where the inverse
-# it computes per call pays for itself at k = p <= 7, the exponent factoring
-# uses most (deg(modulus) about 23 to 28 there).
+# and Newton division by a fixed modulus from _NEWTON_MIN_WORK, where the
+# inverse it computes once pays for itself at k = p <= 7, the exponent
+# factoring uses most in powmod (deg(modulus) about 23 to 28 there).
 _NEWTON_MIN_WORK = 640
 
 
 # -- GF(2): one bit per coefficient ------------------------------------------
+#
+# The one bit format of the package: linalg packs its GF(2) rows with
+# `_pack2` too.
 
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack2(coeffs) -> int:
-    n = 0
-    for i, c in enumerate(coeffs):
-        if c:
-            n |= 1 << i
-    return n
+def _pack2(bits) -> int:
+    """The int whose bit i is bits[i], for a sequence of 0s and 1s."""
+    return int(bytes(bits)[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+
+def _unpack2(n: int) -> bytes:
+    """The bits of n >= 0, lowest first, as bytes 0 and 1 without trailing
+    zeros."""
+    return bin(n)[:1:-1].encode().translate(_FROM_DIGITS) if n else b""
 
 
 def _mul2(x: int, y: int) -> int:
@@ -164,13 +176,13 @@ def _kron_slots(buf: bytes, s: int, n: int, p: int) -> list:
 
 
 def _mul_p(a, b, p: int) -> list:
-    """a*b over F_p for nonempty coefficient sequences, reduced."""
+    """a*b over F_p, p odd, for nonempty coefficient sequences, reduced."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
         c = b[0]
         return [x * c % p for x in a]
-    if p > 2 and len(a) * len(b) >= _KRON_MIN_WORK:
+    if len(a) * len(b) >= _KRON_MIN_WORK:
         return _kron_mul(a, b, p, len(a) + len(b) - 1)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(b):
@@ -197,7 +209,7 @@ def _series_inverse(f, m: int, p: int) -> list:
 
 
 def _divmod_p(a, b, p: int, inverse=None) -> tuple[list, list]:
-    """Quotient and remainder over F_p, len(a) >= len(b) > 0.
+    """Quotient and remainder over F_p, p odd, len(a) >= len(b) > 0.
 
     With `inverse` = 1/rev(b) mod t^m (or longer), m = len(a) - len(b) + 1
     the quotient length, the quotient is one product (MCA section 9.1);
@@ -264,6 +276,46 @@ def _mul_ext(a, b, F) -> list:
             for j, y in enumerate(b, i):
                 out[j] = add[out[j]][row[y]]
     return out
+
+
+# -- the kernel layer --------------------------------------------------------
+#
+# A kernel form is a bit-packed int over GF(2) and a coefficient sequence
+# without trailing zeros otherwise (`Poly._kernel` gives it, `Poly._wrap`
+# takes it back).  Every product and remainder on kernel forms goes through
+# _kmul and _krem, and every Newton inverse through _newton_inverse.
+
+
+def _kmul(a, b, F):
+    """a*b on kernel forms over F; either may be zero."""
+    if F.q == 2:
+        return _mul2(a, b)
+    if not a or not b:
+        return []
+    # a product of nonzero polynomials over a field has a nonzero top term
+    return _mul_ext(a, b, F) if F.e > 1 else _mul_p(a, b, F.p)
+
+
+def _krem(a, b, F, inverse=None):
+    """a mod b on kernel forms over F, b nonzero.  `inverse` is b's from
+    `_newton_inverse`, long enough for the quotient, or None."""
+    if F.q == 2:
+        return _rem2(a, b)
+    if len(a) < len(b):
+        return a
+    r = _rem_ext(a, b, F) if F.e > 1 else _divmod_p(a, b, F.p, inverse)[1]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _newton_inverse(m, k, F):
+    """1/rev(m) mod t^k over odd p, for dividing by the kernel form m with
+    quotients up to k terms long, if that work k*deg(m) reaches
+    _NEWTON_MIN_WORK; None otherwise."""
+    if F.e > 1 or F.p == 2 or k * (len(m) - 1) < _NEWTON_MIN_WORK:
+        return None
+    return _series_inverse(m[::-1], k, F.p)
 
 
 class Poly:
@@ -396,18 +448,23 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------------
 
-    def _packed(self) -> int:
+    def _kernel(self):
+        """The kernel form: the bit-packed int over GF(2), packed once per
+        Poly, and the coefficient tuple otherwise."""
+        if self.field.q != 2:
+            return self.coeffs
         pk = self._pk
         if pk is None:
-            pk = _pack2(self.coeffs)
-            self._pk = pk
+            pk = self._pk = _pack2(self.coeffs)
         return pk
 
     @classmethod
-    def _from_packed(cls, field, n: int) -> "Poly":
-        bits = bin(n)[:1:-1].encode().translate(_FROM_DIGITS) if n else b""
-        obj = cls._make(field, tuple(bits))
-        obj._pk = n
+    def _wrap(cls, field, x) -> "Poly":
+        """The Poly of a kernel form."""
+        if field.q != 2:
+            return cls._make(field, tuple(x))
+        obj = cls._make(field, tuple(_unpack2(x)))
+        obj._pk = x
         return obj
 
     # Over characteristic 2 an extension field's codes are bit vectors of
@@ -464,15 +521,7 @@ class Poly:
     def __mul__(self, other):
         self._check_same_field(other)
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        # a product of nonzero polynomials over a field has a nonzero top term
-        if F.e > 1:
-            return Poly._make(F, tuple(_mul_ext(a, b, F)))
-        if F.p == 2 and len(a) + len(b) >= _PACK_MIN_LEN:
-            return Poly._from_packed(F, _mul2(self._packed(), other._packed()))
-        return Poly._make(F, tuple(_mul_p(a, b, F.p)))
+        return Poly._wrap(F, _kmul(self._kernel(), other._kernel(), F))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -496,15 +545,15 @@ class Poly:
         db = len(bc) - 1
         if len(a) - 1 < db:
             return Poly.zero(F), self
-        if F.q == 2 and len(a) >= _PACK_MIN_LEN:
-            q, r = _divmod2(self._packed(), other._packed())
-            return Poly._from_packed(F, q), Poly._from_packed(F, r)
+        if F.q == 2:
+            q, r = _divmod2(self._kernel(), other._kernel())
+            return Poly._wrap(F, q), Poly._wrap(F, r)
         if F.e > 1:
             q = [0] * (len(a) - db)
             r = _rem_ext(a, bc, F, q)
         else:
             q, r = _divmod_p(a, bc, F.p)
-        return Poly._make(F, tuple(q)), Poly._from_list(F, r)
+        return Poly._wrap(F, q), Poly._from_list(F, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -513,32 +562,24 @@ class Poly:
         return divmod(self, other)[1]
 
     def powmod(self, k: int, modulus: "Poly") -> "Poly":
-        """self^k mod modulus by square-and-multiply."""
+        """self^k mod modulus by square-and-multiply on kernel forms."""
         if k < 0:
             raise ValueError("negative exponent")
-        F, mc = self.field, modulus.coeffs
-        n = len(mc) - 1
-        # the product of two residues has a quotient of length at most n - 1
-        inverse = (_series_inverse(mc[::-1], n - 1, F.p) if F.e == 1
-                   and F.p > 2 and (n - 1) * n >= _NEWTON_MIN_WORK else None)
-
-        def reduce(x):
-            if inverse is None:
-                return x % modulus
-            if len(x.coeffs) <= n:
-                return x
-            return Poly._from_list(
-                F, _divmod_p(x.coeffs, mc, F.p, inverse)[1])
-
-        r = Poly.one(F) % modulus
-        base = self % modulus
+        self._check_same_field(modulus)
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        F, m = self.field, modulus._kernel()
+        # the product of two residues has a quotient of at most deg - 1 terms
+        inverse = _newton_inverse(m, modulus.deg - 1, F)
+        r = _krem(1 if F.q == 2 else (1,), m, F)
+        base = _krem(self._kernel(), m, F)
         while k:
             if k & 1:
-                r = reduce(r * base)
+                r = _krem(_kmul(r, base, F), m, F, inverse)
             k >>= 1
             if k:
-                base = reduce(base * base)
-        return r
+                base = _krem(_kmul(base, base, F), m, F, inverse)
+        return Poly._wrap(F, r)
 
     def shifted(self, k: int) -> "Poly":
         """self * t^k."""
@@ -680,36 +721,16 @@ def _gcd_p(a, b, p: int) -> list:
             for c in _kron_slots(y.to_bytes(ny * s, "little"), s, ny, p)[::-1]]
 
 
-def _gcd_ext(a: list, b: list, F) -> list:
-    """The monic gcd over an extension field F of nonempty coefficient
-    lists without trailing zeros."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _rem_ext(a, b, F)
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    row = F._mul[F._inv[a[-1]]]
-    return [row[c] for c in a]
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd of a and b; zero if both are zero."""
     a._check_same_field(b)
     F = a.field
-    if F.q == 2:
-        x, y = a._packed(), b._packed()
-        while y:
-            x, y = y, _rem2(x, y)
-        return Poly._from_packed(F, x)
-    if not b.coeffs:
-        return a.monic()
-    if not a.coeffs:
-        return b.monic()
-    if F.e > 1:
-        return Poly._make(F, tuple(_gcd_ext(a.coeffs, b.coeffs, F)))
-    return Poly._make(F, tuple(_gcd_p(a.coeffs, b.coeffs, F.p)))
+    if F.e == 1 and F.p > 2 and a.coeffs and b.coeffs:
+        return Poly._wrap(F, _gcd_p(a.coeffs, b.coeffs, F.p))
+    x, y = a._kernel(), b._kernel()
+    while y:
+        x, y = y, _krem(x, y, F)
+    return Poly._wrap(F, x).monic()
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -743,9 +764,6 @@ def poly_xgcd(a: Poly, b: Poly):
 # base-p number then maps to the code of its element by one table of
 # p^(2e-1) <= 2^15 entries; a prime field's block is its code.
 
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 @lru_cache(maxsize=None)
 def _block_tables(F) -> tuple:
     """(spread, codes) for an extension field F: spread[c] is the block of
@@ -768,9 +786,7 @@ def _blocks_pack(cs, F, s: int) -> int:
     if F.e > 1:
         spread = _block_tables(F)[0]
         cs = [d for c in cs for d in spread[c]]
-    if F.p > 2:
-        return _kron_pack(cs, s)
-    return int(bytes(cs)[::-1].translate(_TO_DIGITS), 2) if cs else 0
+    return _kron_pack(cs, s) if F.p > 2 else _pack2(cs)
 
 
 def _blocks_unpack(x: int, F, s: int, n: int) -> list:
@@ -779,7 +795,7 @@ def _blocks_unpack(x: int, F, s: int, n: int) -> list:
     if F.p > 2:
         slots = _kron_slots(x.to_bytes(n * w * s, "little"), s, n * w, F.p)
     else:
-        slots = bin(x)[:1:-1].encode().translate(_FROM_DIGITS) if x else b""
+        slots = _unpack2(x)
         slots += bytes(n * w - len(slots))
     if w == 1:
         return list(slots)
@@ -792,34 +808,16 @@ def _blocks_unpack(x: int, F, s: int, n: int) -> list:
     return [codes[k] for k in keys]
 
 
-def _kernel_form(a: Poly):
-    """The bit-packed int over GF(2), the coefficient tuple otherwise."""
-    return a._packed() if a.field.q == 2 else a.coeffs
-
-
-def _mulmod(a, u, m, F):
-    """a*u mod m, all three in kernel form (u may be zero)."""
-    if F.q == 2:
-        return _rem2(_mul2(a, u), m)
-    if not a or not u:
-        return ()
-    if F.e > 1:
-        x = _mul_ext(a, u, F)
-        return _rem_ext(x, m, F) if len(x) >= len(m) else x
-    x = _mul_p(a, u, F.p)
-    return _divmod_p(x, m, F.p)[1] if len(x) >= len(m) else x
-
-
 class CRTBasis:
     """Chinese-remainder data for one list of pairwise coprime moduli P_i.
 
     Built once, lifted many times: the constructor checks coprimality and
     stores, for each P_i, u_i = C_i^(-1) mod P_i and the cofactor
     C_i = M/P_i (M = prod P_i), packed once into the Kronecker form above.
-    `lift` takes each short c_i = r_i*u_i mod P_i on the kernels' lists (or
-    bit-packed ints over GF(2)), adds c_i*C_i into one packed int and
-    unpacks that once: no Poly is built per modulus and no field method is
-    called per coefficient.  An odd-p slot of the sum adds at most
+    `lift` takes each short c_i = r_i*u_i mod P_i on kernel forms (`_kmul`,
+    `_krem`), adds c_i*C_i into one packed int and unpacks that once: no
+    Poly is built per modulus and no field method is called per
+    coefficient.  An odd-p slot of the sum adds at most
     deg M * e products of two coordinates (c_i has deg P_i terms, and a
     slot pairs up at most e coordinates), so slots sized for that bound
     never carry.
@@ -850,8 +848,8 @@ class CRTBasis:
             cof = total // m
             # a unit modulus gets u = 0: every residue is congruent mod it
             _, u, _ = poly_xgcd(cof % m, m)
-            terms.append((_kernel_form(m), _kernel_form(u),
-                          _blocks_pack(_kernel_form(cof), F, s)))
+            terms.append((m._kernel(), u._kernel(),
+                          _blocks_pack(cof._kernel(), F, s)))
         self.modulus = total
         self._terms = tuple(terms)
         self._slot = s
@@ -870,11 +868,9 @@ class CRTBasis:
         for r, (m, u, cof) in zip(residues, self._terms):
             if r.field is not F and r.field != F:
                 raise ValueError("mixed-field polynomial operation")
-            c = _blocks_pack(_mulmod(_kernel_form(r), u, m, F), F, s)
+            c = _blocks_pack(_krem(_kmul(r._kernel(), u, F), m, F), F, s)
             if c:
                 acc = acc ^ _mul2(c, cof) if F.p == 2 else acc + c * cof
-        if F.q == 2:
-            return Poly._from_packed(F, acc)
         return Poly._from_list(
             F, _blocks_unpack(acc, F, s, len(self.modulus.coeffs) - 1))
 
@@ -900,13 +896,13 @@ class RemainderTree:
     root, then each remainder mod the children of its node, down to the
     leaves (MCA section 10.1).  A division is skipped where the remainder
     already has lower degree than the node, so short inputs cost little.
-    Nodes are stored in kernel form: bit-packed ints over GF(2), coefficient
-    lists otherwise, and over odd p each non-root node whose division work
-    k*deg reaches _NEWTON_MIN_WORK keeps the Newton inverse of its reversal,
-    built once and shared by every x reduced.  Timed on the residue map of
-    the (q=3, D=5) counterexample, the inverses cut its build from about
-    2.3 s to 1.5 s, with any threshold from 100 to 3000 alike; at D=4 they
-    save about 2 % of the `construct` benchmark's wall time.
+    Each node is stored in kernel form with its `_newton_inverse`: over odd
+    p a non-root node whose division work k*deg reaches _NEWTON_MIN_WORK
+    keeps the Newton inverse of its reversal, built once and shared by
+    every x reduced.  Timed on the residue map of the (q=3, D=5)
+    counterexample, the inverses cut its build from about 2.3 s to 1.5 s,
+    with any threshold from 100 to 3000 alike; at D=4 they save about 2 %
+    of the `construct` benchmark's wall time.
     """
 
     __slots__ = ("field", "_levels")
@@ -924,10 +920,6 @@ class RemainderTree:
             below = levels[-1]
             levels.append([below[i] * below[i + 1] if i + 1 < len(below)
                            else below[i] for i in range(0, len(below), 2)])
-        if F.q == 2:
-            self._levels = [[m._packed() for m in level] for level in levels]
-            return
-        odd_p = F.e == 1 and F.p > 2
         self._levels = []
         for j, level in enumerate(levels):
             nodes = []
@@ -936,9 +928,8 @@ class RemainderTree:
                 # most k; the root takes x of any length and keeps none
                 k = (levels[j + 1][i >> 1].deg - m.deg
                      if j + 1 < len(levels) else 0)
-                inverse = (_series_inverse(m.coeffs[::-1], k, F.p) if odd_p
-                           and k * m.deg >= _NEWTON_MIN_WORK else None)
-                nodes.append((m.coeffs, inverse))
+                b = m._kernel()
+                nodes.append((b, _newton_inverse(b, k, F)))
             self._levels.append(nodes)
 
     def indices(self, x: Poly) -> list:
@@ -947,24 +938,12 @@ class RemainderTree:
         F = self.field
         if x.field != F:
             raise ValueError("mixed-field polynomial operation")
-        levels = self._levels
+        rems = [x._kernel()]
+        for level in reversed(self._levels):
+            rems = [_krem(rems[i >> 1], b, F, inverse)
+                    for i, (b, inverse) in enumerate(level)]
         if F.q == 2:
-            rems = [x._packed()]
-            for level in reversed(levels):
-                rems = [_rem2(rems[i >> 1], b) for i, b in enumerate(level)]
             return rems  # over GF(2) the packed int is the index
-        rems = [list(x.coeffs)]
-        for level in reversed(levels):
-            out = []
-            for i, (b, inverse) in enumerate(level):
-                r = rems[i >> 1]
-                if len(r) >= len(b):
-                    r = (_rem_ext(r, b, F) if F.e > 1
-                         else _divmod_p(r, b, F.p, inverse)[1])
-                    while r and not r[-1]:
-                        r.pop()
-                out.append(r)
-            rems = out
         q = F.q
         out = []
         for r in rems:

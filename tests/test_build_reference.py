@@ -58,15 +58,20 @@ def test_build_matches_per_pair_reference(pe, D):
 
 
 def test_build_division_count(monkeypatch):
-    # With the irreducible caches empty, the (q=2, D=5) build divides 550
-    # times to enumerate its irreducibles (the reductions in Rabin's test)
-    # and 158 times for its five CRT bases: one M // P and one C % P per
-    # modulus, 2 * (2 + 3 + 5 + 8 + 14) = 64, and 94 in the xgcds for the
-    # inverses.  poly_gcd runs on packed ints and makes no Poly division.
-    # Its 62 rows hold 632 (row, modulus) pairs: each costs one b mod P,
-    # while values[rp] mod P is taken once per distinct (modulus, rp) pair,
-    # 264 of them.  The lifts make no Poly division; per-pair residues and
-    # Poly-form lifts made 3,255, and Poly-level Euclid 2,255.
+    # With the irreducible caches empty, the (q=2, D=5) build divides 74
+    # times to enumerate its irreducibles: Rabin's test takes t mod f once
+    # for each of the 60 monic f of degree 2 to 5 and once more at the end
+    # for the 14 that pass its gcd checks (the 12 irreducibles and the two
+    # degree-5 products of a quadratic and a cubic); powmod reduces on
+    # kernel forms and makes no Poly division.  The build divides 158 times
+    # for its five CRT bases: one M // P and one C % P per modulus,
+    # 2 * (2 + 3 + 5 + 8 + 14) = 64, and 94 in the xgcds for the inverses.
+    # poly_gcd runs on packed ints and makes no Poly division.  Its 62 rows
+    # hold 632 (row, modulus) pairs: each costs one b mod P, while
+    # values[rp] mod P is taken once per distinct (modulus, rp) pair, 264
+    # of them.  The lifts make no Poly division; per-pair residues and
+    # Poly-form lifts made 3,255, Poly-level Euclid 2,255, and powmod
+    # reducing through Poly division 1,604.
     for cached in (enumerate_monic_irreducibles, irreducible_product,
                    count_irreducibles):
         cached.cache_clear()
@@ -82,4 +87,4 @@ def test_build_division_count(monkeypatch):
     pairs = [(p, rp) for row in trace.rows for p, rp in row.residue_pairs]
     assert len(trace.rows) == 62 and len(pairs) == 632
     assert len({(p.coeffs, rp.coeffs) for p, rp in pairs}) == 264
-    assert len(calls) == 550 + (64 + 94) + 632 + 264 == 1604
+    assert len(calls) == 74 + (64 + 94) + 632 + 264 == 1128

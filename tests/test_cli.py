@@ -463,6 +463,21 @@ def subprocess_bytes(*argv):
     return proc.returncode, proc.stdout
 
 
+def test_huge_extension_degree_exits_at_once(tmp_path):
+    # e = 10^12 must be refused before p^e is computed: a run that computes
+    # it is stopped by the timeout and fails the test instead of hanging
+    table = FuncTable.from_function(F2, 1, lambda a: a).to_obj()
+    table["field"]["e"] = 10 ** 12
+    path = tmp_path / "huge_e.json"
+    path.write_text(json.dumps(table))
+    for argv in (["dn", "--p", "2", "--ext-degree", str(10 ** 12), "--n", "1"],
+                 ["verify-p3", "--table", str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "fqtlab.cli", *argv],
+                              capture_output=True, timeout=10)
+        assert proc.returncode == 1
+        assert b"supported up to q = 256" in proc.stderr
+
+
 def test_byte_determinism_across_runs_and_threads(square_table_path):
     base = subprocess_bytes("verify-p3", "--table", square_table_path)
     again = subprocess_bytes("verify-p3", "--table", square_table_path)

@@ -63,6 +63,26 @@ def test_constructor_validation():
         FiniteField(2, 2, modulus=(1, 1))  # wrong length
 
 
+class _NoPower(int):
+    """An int that fails the test if any int is raised to its power."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError("computed %d ** %d" % (base, self))
+
+
+def test_huge_extension_degree_is_refused_without_the_power():
+    # p >= 2, so any e > 8 is past the table limit; p ** e is never taken
+    for p in (2, 3, 2**61 - 1):
+        for e in (9, 10**12):
+            with pytest.raises(ValueError, match="supported up to q = 256"):
+                FiniteField(p, _NoPower(e))
+    with pytest.raises(ValueError, match="supported up to q = 256"):
+        FiniteField(2, 10**12)
+    with pytest.raises(ValueError, match="supported up to q = 256"):
+        FiniteField(3, 6)  # 729 > 256 with e <= 8
+    assert FiniteField(2, 8).q == 256
+
+
 def test_default_moduli():
     # least monic irreducible x^e + c scan: x^2+x+1 over F_2, x^2+1 over F_3
     assert default_modulus(2, 2) == (1, 1, 1)

@@ -1,9 +1,11 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tracemalloc
-
+from fqtlab import poly as poly_module
 from fqtlab.errors import BudgetExceeded, PolyParseError
 from fqtlab.field import FiniteField
 from fqtlab.poly import (NEG_INF, Poly, format_poly, format_poly_compact,
@@ -117,8 +119,7 @@ def schoolbook_mul(a, b):
 
 
 def test_packed_matches_schoolbook():
-    # GF(2) products cross the bit-packing threshold around length 24
-    import random
+    # GF(2) products and divisions run bit-packed at every length, 1 to 89
     rng = random.Random(7)
     for _ in range(40):
         a = Poly(F2, [rng.randrange(2) for _ in range(rng.randrange(1, 90))])
@@ -144,11 +145,23 @@ def test_pow_and_powmod():
 def test_powmod_and_pow_skip_the_last_squaring(monkeypatch, k, products,
                                                mod_len):
     # square-and-multiply: one product per set bit of k, one squaring per
-    # bit below the top one, and no squaring after the top bit is used
+    # bit below the top one, and no squaring after the top bit is used;
+    # powmod multiplies kernel forms, ** multiplies Polys
     modulus = Poly(F3, [1] * mod_len)
     base = Poly(F3, [2, 1, 0, 1])
     expected = base.powmod(k, modulus), base ** k
     calls = []
+    kmul = poly_module._kmul
+
+    def counting_kmul(a, b, F):
+        calls.append(1)
+        return kmul(a, b, F)
+
+    monkeypatch.setattr(poly_module, "_kmul", counting_kmul)
+    assert base.powmod(k, modulus) == expected[0]
+    assert len(calls) == products
+    monkeypatch.undo()
+    calls.clear()
     mul = Poly.__mul__
 
     def counting_mul(a, b):
@@ -156,11 +169,58 @@ def test_powmod_and_pow_skip_the_last_squaring(monkeypatch, k, products,
         return mul(a, b)
 
     monkeypatch.setattr(Poly, "__mul__", counting_mul)
-    assert base.powmod(k, modulus) == expected[0]
-    assert len(calls) == products
-    calls.clear()
     assert base ** k == expected[1]
     assert len(calls) == products
+
+
+def random_poly(field, rng, deg):
+    if deg < 0:
+        return Poly.zero(field)
+    cs = [rng.randrange(field.q) for _ in range(deg)]
+    return Poly(field, cs + [rng.randrange(1, field.q)])
+
+
+EXT_FIELDS = [F4, FiniteField(2, 3), FiniteField(3, 2)]
+
+
+@pytest.mark.parametrize("field", EXT_FIELDS, ids=lambda F: "F%d" % F.q)
+def test_extension_powmod_matches_pow_then_mod(field):
+    rng = random.Random(field.q)
+    # a unit modulus first: every residue mod it is zero, 1 included
+    moduli = [Poly.constant(field, rng.randrange(1, field.q))]
+    moduli += [random_poly(field, rng, d) for d in (1, 2, 3, 5, 8)]
+    for m in moduli:
+        for d in (-1, 0, 2, m.deg, 2 * m.deg + 3):
+            a = random_poly(field, rng, d)
+            for k in (0, 1, 2, 3, 7, 16, 29):
+                assert a.powmod(k, m) == (a ** k) % m
+    with pytest.raises(ZeroDivisionError):
+        Poly.gen(field).powmod(3, Poly.zero(field))
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda F: "F%d" % F.q)
+def test_powmod_builds_only_its_result(monkeypatch, field):
+    # every product and remainder runs on kernel forms: no Poly operation,
+    # and one Poly built, the result
+    rng = random.Random(5)
+    modulus = random_poly(field, rng, 30)
+    base = random_poly(field, rng, 45)
+    expected = (base ** 37) % modulus
+    calls = []
+
+    def counting(method):
+        def wrapper(*args):
+            calls.append(method)
+            return original[method](*args)
+        return wrapper
+
+    original = {"__mul__": Poly.__mul__, "__divmod__": Poly.__divmod__,
+                "_make": Poly._make}
+    for method in ("__mul__", "__divmod__"):
+        monkeypatch.setattr(Poly, method, counting(method))
+    monkeypatch.setattr(Poly, "_make", staticmethod(counting("_make")))
+    assert base.powmod(37, modulus) == expected
+    assert calls == ["_make"]
 
 
 def test_derivative():

@@ -3,9 +3,10 @@
 galoistools writes a polynomial over F_p as a list of ints, highest degree
 first, and is an independent implementation: schoolbook loops throughout.
 Input lengths reach past every size crossover in `fqtlab.poly`, so each
-kernel (schoolbook, bit-packed, Kronecker, Newton division in `powmod`)
-meets the oracle on both sides of its threshold.  The large prime 2^31 - 1 makes the
-Kronecker slots wider than eight bytes.
+odd-p kernel (schoolbook, Kronecker, Newton division in `powmod`) meets the
+oracle on both sides of its threshold; GF(2) runs bit-packed at every
+length.  The large prime 2^31 - 1 makes the Kronecker slots wider than
+eight bytes.
 """
 
 import math
@@ -15,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fqtlab import FiniteField, Poly, factor, is_irreducible, poly_xgcd
 from fqtlab.factor import squarefree_decomposition
-from fqtlab.poly import (_KRON_MIN_WORK, _NEWTON_MIN_WORK, _PACK_MIN_LEN,
-                         RemainderTree)
+from fqtlab.poly import _KRON_MIN_WORK, _NEWTON_MIN_WORK, RemainderTree
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -24,8 +24,9 @@ ZZ = pytest.importorskip("sympy.polys.domains").ZZ
 PRIMES = [2, 3, 5, 7, 2**31 - 1]
 FIELDS = {p: FiniteField(p) for p in PRIMES}
 # long enough that products len(a)*len(b) fall on both sides of
-# _KRON_MIN_WORK, and GF(2) lengths on both sides of _PACK_MIN_LEN
-MAX_LEN = 3 * math.isqrt(_KRON_MIN_WORK) + _PACK_MIN_LEN
+# _KRON_MIN_WORK, and GF(2) lengths on both sides of 24, the length from
+# which GF(2) products were once bit-packed
+MAX_LEN = 3 * math.isqrt(_KRON_MIN_WORK) + 24
 
 
 def to_gf(a):
