@@ -24,7 +24,7 @@ from .linalg import kernel_basis, kernel_vector, matrix_rank
 from .poly import (NEG_INF, CRTBasis, Poly, crt, format_poly,
                    format_poly_compact, monic_polys_of_degree, parse_poly,
                    poly_gcd, poly_xgcd, polys_up_to)
-from .ratfunc import RatFunc, lagrange_interpolate
+from .ratfunc import RatFunc
 from .relations import (DegreeBoundCert, FitReport, LinearAnsatz, LinearCaps,
                         PipelineReport, RelationQ, ScheduleReport,
                         TriDegreeBounds, UnknownCountReport, VanishingReport,

@@ -137,10 +137,14 @@ class FuncTable:
     @classmethod
     def from_obj(cls, obj) -> "FuncTable":
         fo = obj["field"]
+        for key in ("p", "e"):
+            if type(fo[key]) is not int:
+                raise ValueError("table field %s must be an integer, got %r"
+                                 % (key, fo[key]))
         field = FiniteField(fo["p"], fo["e"],
                             tuple(fo["modulus"]) if fo.get("modulus") else None)
         D = obj["D"]
-        if not isinstance(D, int) or D < 0:
+        if type(D) is not int or D < 0:
             raise ValueError("table D must be an integer >= 0, got %r" % (D,))
         _check_domain_size(field, D, len(obj["values"]))
         vals = {}

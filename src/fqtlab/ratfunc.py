@@ -1,16 +1,15 @@
-"""The rational function field K = F_q(t) and polynomials over it.
+"""The rational function field K = F_q(t).
 
 RatFunc keeps every value as a reduced fraction with monic denominator, so
-equality is structural and hashing works.  Polynomials in an outer variable
-X with RatFunc coefficients ("K-polys") are plain tuples of RatFunc, trailing
-zeros stripped; the small helper set below covers the arithmetic the package
-needs, including exact division and Lagrange interpolation.
+equality is structural and hashing works.  Polynomials over K are not built
+from RatFunc: relations holds them as N(X)/d over F_q[t] and makes RatFunc
+coefficients only for its reports.
 """
 
 from __future__ import annotations
 
 from .errors import ExactDivisionError
-from .poly import NEG_INF, Poly, format_poly, poly_gcd
+from .poly import Poly, format_poly, poly_gcd
 
 
 class RatFunc:
@@ -125,134 +124,3 @@ class RatFunc:
             return "(%s)" % format_poly(self.num)
         return "(%s)/(%s)" % (format_poly(self.num), format_poly(self.den))
 
-
-# -- polynomials over K -------------------------------------------------------
-
-
-def kpoly(coeffs) -> tuple[RatFunc, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return tuple(cs)
-
-
-def kpoly_from_polys(coeffs) -> tuple[RatFunc, ...]:
-    return kpoly([RatFunc.from_poly(c) for c in coeffs])
-
-
-def kpoly_zero() -> tuple[RatFunc, ...]:
-    return ()
-
-
-def kpoly_deg(a):
-    return len(a) - 1 if a else NEG_INF
-
-
-def kpoly_add(a, b):
-    field = (a or b)[0].field if (a or b) else None
-    if field is None:
-        return ()
-    out = list(a) + [RatFunc.zero(field)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return kpoly(out)
-
-
-def kpoly_neg(a):
-    return tuple(-c for c in a)
-
-def kpoly_sub(a, b):
-    return kpoly_add(a, kpoly_neg(b))
-
-
-def kpoly_scale(a, c: RatFunc):
-    if c.is_zero():
-        return ()
-    return kpoly([x * c for x in a])
-
-
-def kpoly_mul(a, b):
-    if not a or not b:
-        return ()
-    field = a[0].field
-    out = [RatFunc.zero(field) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-    return kpoly(out)
-
-
-def kpoly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("K-poly division by zero")
-    field = b[0].field
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return (), kpoly(rem)
-    inv_lb = b[-1].inverse()
-    quot = [RatFunc.zero(field) for _ in range(len(rem) - db)]
-    for i in range(len(rem) - db - 1, -1, -1):
-        c = rem[i + db]
-        if not c.is_zero():
-            f = c * inv_lb
-            quot[i] = f
-            for j, bj in enumerate(b):
-                rem[i + j] = rem[i + j] - f * bj
-    return kpoly(quot), kpoly(rem)
-
-
-def kpoly_eval(a, x: RatFunc) -> RatFunc:
-    if isinstance(x, Poly):
-        x = RatFunc.from_poly(x)
-    field = x.field
-    out = RatFunc.zero(field)
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-def kpoly_clear(a, field) -> tuple[tuple[Poly, ...], Poly]:
-    """Clear denominators once: ((N_j), d) with d the monic lcm of the
-    denominators of a and N_j = a_j * d, so a(x) = N(x)/d for every x.
-
-    Coefficients over field; an empty a gives ((), 1).
-    """
-    d = Poly.one(field)
-    for c in a:
-        if c.den.deg > 0:
-            d = d // poly_gcd(d, c.den) * c.den
-    return tuple(c.num * (d // c.den) for c in a), d
-
-
-def lagrange_interpolate(points) -> tuple[RatFunc, ...]:
-    """Unique K-poly of degree < len(points) through the given (x, y) pairs.
-
-    Points are (Poly, Poly) or (RatFunc, RatFunc); x values must be distinct.
-    """
-    pts = [(x if isinstance(x, RatFunc) else RatFunc.from_poly(x),
-            y if isinstance(y, RatFunc) else RatFunc.from_poly(y))
-           for x, y in points]
-    if not pts:
-        raise ValueError("need at least one point")
-    field = pts[0][0].field
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i][0] == pts[j][0]:
-                raise ValueError("duplicate interpolation nodes at positions "
-                                 "%d and %d" % (i, j))
-    acc = kpoly_zero()
-    one = RatFunc.one(field)
-    for i, (xi, yi) in enumerate(pts):
-        if yi.is_zero():
-            continue
-        basis = kpoly([one])
-        denom = one
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            basis = kpoly_mul(basis, kpoly([-xj, one]))
-            denom = denom * (xi - xj)
-        acc = kpoly_add(acc, kpoly_scale(basis, yi / denom))
-    return acc

@@ -7,7 +7,10 @@ its Y-slices yield a linear degree bound deg f(A) <= C3*deg A + C4.
 find_linear_relation looks for A[X]-coefficient pairs (P, Q), not both zero,
 with P(x)*y + Q(x) = 0 at sample points (x, y); recover_polymap divides -Q/P
 exactly in K[X] to expose the underlying polynomial map.  fit_polynomial
-interpolates and cross-validates directly.  check_vanishing_lemma audits the
+interpolates and cross-validates directly.  A map in K[X], K = F_q(t), is
+held as (N, d): N(X)/d with N in F_q[t][X] and d in F_q[t] monic, so both
+solvers and every table check run in F_q[t]; RatFunc coefficients are built
+once, for the reports.  check_vanishing_lemma audits the
 three hypotheses that force such a table to be identically zero, and
 schedule_check evaluates the pigeonhole counting that makes the linear
 ansatz exist at scale.
@@ -28,9 +31,8 @@ from .errors import (DEFAULT_MATRIX_BUDGET, BudgetExceeded,
 from .functable import FuncTable, verify_p3
 from .irreducibles import irreducible_product
 from .linalg import kernel_vector
-from .poly import NEG_INF, Poly
-from .ratfunc import (RatFunc, kpoly_clear, kpoly_divmod, kpoly_from_polys,
-                      kpoly_neg, lagrange_interpolate)
+from .poly import NEG_INF, Poly, poly_gcd
+from .ratfunc import RatFunc
 
 
 @dataclass(frozen=True)
@@ -345,17 +347,55 @@ def power_samples(table: FuncTable, u: Poly, N: int) -> list:
     return [(u ** n, table.lookup(u ** n)) for n in range(N + 1)]
 
 
+def _lowest_terms(nums, w: Poly) -> tuple[tuple[Poly, ...], Poly]:
+    """N(X)/w as (N, d) in lowest terms: N's trailing zeros stripped and
+    d = w / gcd(w, N_0, N_1, ...) made monic, the lcm of the reduced
+    denominators of the coefficients N_j/w."""
+    nums = list(nums)
+    while nums and nums[-1].is_zero():
+        nums.pop()
+    g = reduce(poly_gcd, nums, w)
+    d = w // g
+    inv = w.field.inv(d.lc)
+    return tuple((c // g).scaled(inv) for c in nums), d.scaled(inv)
+
+
+def _coefficients(nums, d: Poly) -> tuple[RatFunc, ...]:
+    """The canonical RatFunc coefficients N_j/d of a map held as (N, d)."""
+    return tuple(RatFunc(c, d) for c in nums)
+
+
+def _pseudo_quotient(ansatz: LinearAnsatz) -> tuple[tuple[Poly, ...], Poly]:
+    """-Q/P as (N, d) by pseudo-division in F_q[t][X] (Knuth, TAOCP 2,
+    4.6.1, Algorithm R).
+
+    With e quotient terms, lc(P)^e * (-Q) = S*P + R in F_q[t][X]; every
+    step's division by lc(P) is exact, and -Q/P = S/lc(P)^e iff R = 0.
+    """
+    p = list(ansatz.p_coeffs)
+    while p and p[-1].is_zero():
+        p.pop()
+    if not p:
+        raise ValueError("cannot recover a map from P = 0")
+    m, lc = len(p) - 1, p[-1]
+    e = max(len(ansatz.q_coeffs) - m, 0)
+    scale = lc ** e
+    rem = [-(c * scale) for c in ansatz.q_coeffs]
+    quot = [None] * e
+    for i in reversed(range(e)):
+        c = quot[i] = rem[i + m] // lc
+        if c:
+            for j in range(m):  # the top term cancels by construction
+                rem[i + j] = rem[i + j] - c * p[j]
+    if any(rem[:m]):
+        raise ExactDivisionError("-Q is not divisible by P in K[X]")
+    return _lowest_terms(quot, scale)
+
+
 def recover_polymap(ansatz: LinearAnsatz) -> tuple[RatFunc, ...]:
     """F = -Q/P by exact division in K[X]; a remainder means the ansatz does
     not certify a polynomial map."""
-    if not ansatz.p_coeffs:
-        raise ValueError("cannot recover a map from P = 0")
-    p = kpoly_from_polys(ansatz.p_coeffs)
-    q = kpoly_from_polys(ansatz.q_coeffs)
-    quot, rem = kpoly_divmod(kpoly_neg(q), p)
-    if rem:
-        raise ExactDivisionError("-Q is not divisible by P in K[X]")
-    return quot
+    return _coefficients(*_pseudo_quotient(ansatz))
 
 
 # -- direct interpolation -----------------------------------------------------
@@ -370,16 +410,52 @@ class FitReport:
     values_in_ring: bool
 
 
+def _interpolate(points) -> tuple[tuple[Poly, ...], Poly]:
+    """The interpolant of degree < len(points) through (x, y) pairs in
+    F_q[t], as (N, d) (von zur Gathen & Gerhard, MCA 5.2).
+
+    With M(X) = prod (X - x_j), the i-th basis numerator M/(X - x_i) comes
+    by synthetic division and has weight w_i = prod_{j != i} (x_i - x_j);
+    the sum of y_i * (w/w_i) * M/(X - x_i) is put over w = lcm of the w_i
+    with y_i != 0.
+    """
+    xs = [x for x, _ in points]
+    seen = {}
+    dups = [(seen[x], j) for j, x in enumerate(xs)
+            if seen.setdefault(x, j) != j]
+    if dups:
+        raise ValueError("duplicate interpolation nodes at positions %d and %d"
+                         % min(dups))
+    field = xs[0].field
+    one = Poly.one(field)
+    m = [one]  # M(X), lowest coefficient first
+    for x in xs:
+        m = [-(x * m[0])] + [a - x * b for a, b in zip(m, m[1:])] + [one]
+    terms = [(x, y, reduce(Poly.__mul__, [x - z for z in xs if z != x], one))
+             for x, y in points if y]
+    w = reduce(lambda a, b: a // poly_gcd(a, b) * b,
+               [wi for _, _, wi in terms], one)
+    acc = [Poly.zero(field)] * len(xs)
+    for x, y, wi in terms:
+        c, b = y * (w // wi), one
+        for k in reversed(range(len(xs))):  # b runs down M/(X - x)
+            acc[k] = acc[k] + c * b
+            b = m[k] + x * b
+    return _lowest_terms(acc, w)
+
+
 def fit_polynomial(points, B: int, max_mismatches: int = 10,
                    budget: int = DEFAULT_MATRIX_BUDGET) -> FitReport:
     """Interpolate degree <= B through the first B+1 points, then judge it.
 
     Reports whether the interpolant matches every remaining point and whether
     all its values on the given inputs land in F_q[t] rather than properly
-    in K.  Interpolating solves the (B+1)-square Vandermonde system over K,
-    whose entries x^j reach t-degree B * max deg x: eliminating it makes
-    (B+1)^3 entry updates of up to B * max deg x + 1 coefficients each, and
-    that product is checked against the budget before interpolating.
+    in K.  The budget rule is the cost of solving the (B+1)-square
+    Vandermonde system over K, whose entries x^j reach t-degree
+    B * max deg x: (B+1)^3 entry updates of up to B * max deg x + 1
+    coefficients each, checked before interpolating.  Interpolation now runs
+    in F_q[t] in O(B^2) Poly operations, so the rule overstates its cost;
+    raising it waits on timings (ROADMAP item 3).
     """
     points = list(points)
     if B < 0:
@@ -390,10 +466,9 @@ def fit_polynomial(points, B: int, max_mismatches: int = 10,
     if (B + 1) ** 3 * (B * dx + 1) > budget:
         raise BudgetExceeded("interpolation through %d points exceeds %d "
                              "matrix entry updates" % (B + 1, budget))
-    coeffs = lagrange_interpolate(points[:B + 1])
+    nums, d = _interpolate(points[:B + 1])
     # the interpolant is N(X)/d: its value at x lies in F_q[t] iff d | N(x),
     # and equals y iff N(x) = d*y
-    nums, d = kpoly_clear(coeffs, points[0][0].field)
     mism = []
     in_ring = True
     for x, y in points:
@@ -402,8 +477,9 @@ def fit_polynomial(points, B: int, max_mismatches: int = 10,
             in_ring = False
         if len(mism) < max_mismatches and val != d * y:
             mism.append(x)
-    return FitReport(coeffs=coeffs, degree_cap=B, holdout_ok=not mism,
-                     mismatches=tuple(mism), values_in_ring=in_ring)
+    return FitReport(coeffs=_coefficients(nums, d), degree_cap=B,
+                     holdout_ok=not mism, mismatches=tuple(mism),
+                     values_in_ring=in_ring)
 
 
 # -- vanishing criterion --------------------------------------------------------
@@ -537,13 +613,12 @@ class PipelineReport:
     ok: bool
 
 
-def _reproduces(recovered, table: FuncTable) -> bool:
-    """Whether the K-poly map agrees with the table on every entry.
+def _reproduces(nums, d: Poly, table: FuncTable) -> bool:
+    """Whether the map N(X)/d agrees with the table on every entry.
 
-    recovered = N(X)/d with d != 0, so F(A) = f(A) iff N(A) = d*f(A): one
-    Poly Horner per entry, with no per-entry normalisation in K.
+    d != 0, so F(A) = f(A) iff N(A) = d*f(A): one Poly Horner per entry,
+    with no per-entry normalisation in K.
     """
-    nums, d = kpoly_clear(recovered, table.field)
     return all(_horner(nums, a) == d * v for a, v in table.items())
 
 
@@ -581,12 +656,13 @@ def run_pipeline(table: FuncTable, bounds: TriDegreeBounds, u: Poly, N: int,
                           "found" if ansatz else "trivial kernel under caps"))
     if ansatz is not None:
         try:
-            recovered = recover_polymap(ansatz)
+            nums, d = _pseudo_quotient(ansatz)
+            recovered = _coefficients(nums, d)
             steps.append(("recover", True, "exact division"))
         except (ValueError, ExactDivisionError) as exc:
             steps.append(("recover", False, str(exc)))
     if recovered is not None:
-        reproduces = _reproduces(recovered, table)
+        reproduces = _reproduces(nums, d, table)
         steps.append(("reproduce_table", reproduces,
                       "matches all %d entries" % (table.field.q ** (table.D + 1))
                       if reproduces else "some entry disagrees"))

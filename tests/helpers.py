@@ -1,8 +1,8 @@
-"""Shared builders for the test suite."""
+"""Tables shared by the test suite, and the RatFunc reference for K[X]."""
 
-from fqtlab import (FuncTable, crt, enumerate_monic_irreducibles,
+from fqtlab import (FuncTable, RatFunc, crt, enumerate_monic_irreducibles,
                     irreducible_product)
-from fqtlab.poly import Poly, polys_up_to
+from fqtlab.poly import Poly, poly_gcd, polys_up_to
 
 
 def forced_table(field, D, c1, rng):
@@ -35,3 +35,107 @@ def forced_table(field, D, c1, rng):
                       if c.is_zero() or c.deg <= q ** n - 1]
         values[a] = rng.choice(admissible)
     return FuncTable(field, D, values)
+
+
+# -- RatFunc reference for K[X] --------------------------------------------------
+# The library holds a polynomial over K = F_q(t) as N(X)/d over F_q[t].  These
+# are the plain routines it replaced, kept as the reference the tests compare
+# against: a K-poly is a tuple of RatFunc, trailing zeros stripped, and every
+# step is normalised in K.
+
+
+def kpoly(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def kpoly_from_polys(coeffs):
+    return kpoly([RatFunc.from_poly(c) for c in coeffs])
+
+
+def kpoly_add(a, b):
+    if not a or not b:
+        return kpoly(a or b)
+    field = (a or b)[0].field
+    out = list(a) + [RatFunc.zero(field)] * max(0, len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return kpoly(out)
+
+
+def kpoly_mul(a, b):
+    if not a or not b:
+        return ()
+    field = a[0].field
+    out = [RatFunc.zero(field) for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return kpoly(out)
+
+
+def kpoly_divmod(a, b):
+    if not b:
+        raise ZeroDivisionError("K-poly division by zero")
+    field = b[0].field
+    rem = list(a)
+    db = len(b) - 1
+    if len(rem) - 1 < db:
+        return (), kpoly(rem)
+    inv_lb = b[-1].inverse()
+    quot = [RatFunc.zero(field) for _ in range(len(rem) - db)]
+    for i in range(len(rem) - db - 1, -1, -1):
+        c = rem[i + db]
+        if not c.is_zero():
+            f = c * inv_lb
+            quot[i] = f
+            for j, bj in enumerate(b):
+                rem[i + j] = rem[i + j] - f * bj
+    return kpoly(quot), kpoly(rem)
+
+
+def kpoly_eval(a, x):
+    if isinstance(x, Poly):
+        x = RatFunc.from_poly(x)
+    out = RatFunc.zero(x.field)
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def kpoly_clear(a, field):
+    """((N_j), d) with d the monic lcm of the denominators of a and
+    N_j = a_j * d, so a(x) = N(x)/d; an empty a gives ((), 1)."""
+    d = Poly.one(field)
+    for c in a:
+        if c.den.deg > 0:
+            d = d // poly_gcd(d, c.den) * c.den
+    return tuple(c.num * (d // c.den) for c in a), d
+
+
+def lagrange_interpolate(points):
+    """The K-poly of degree < len(points) through the (Poly, Poly) pairs, by
+    summing Lagrange basis polynomials in K[X]; x values must be distinct."""
+    pts = [(RatFunc.from_poly(x), RatFunc.from_poly(y)) for x, y in points]
+    if not pts:
+        raise ValueError("need at least one point")
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if pts[i][0] == pts[j][0]:
+                raise ValueError("duplicate interpolation nodes at positions "
+                                 "%d and %d" % (i, j))
+    one = RatFunc.one(pts[0][0].field)
+    acc = ()
+    for i, (xi, yi) in enumerate(pts):
+        if yi.is_zero():
+            continue
+        basis, denom = (one,), one
+        for j, (xj, _) in enumerate(pts):
+            if j != i:
+                basis = kpoly_mul(basis, (-xj, one))
+                denom = denom * (xi - xj)
+        acc = kpoly_add(acc, kpoly_mul(basis, (yi / denom,)))
+    return acc

@@ -26,9 +26,8 @@ from fqtlab import (DeltaSpec, FiniteField, FuncTable, LinearCaps, Poly,
                     product_identity_check, recover_polymap,
                     roots_of_unity_count, union_size_identity_map, verify_p3)
 from fqtlab.deltalab import s0, s1, s2
-from fqtlab.ratfunc import kpoly_eval
 from fqtlab.sunit import GroupElem, GroupSpec
-from helpers import forced_table
+from helpers import forced_table, kpoly_eval
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)

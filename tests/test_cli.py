@@ -104,6 +104,25 @@ def test_table_file_literal_over_cap_is_budget_error(capsys, tmp_path):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("field", "e", "2"), ("field", "e", None), ("field", "e", 2.5),
+    ("field", "e", True), ("field", "p", "2"), ("field", "p", True),
+    ("table", "D", True), ("table", "D", "1")],
+    ids=["e-str", "e-null", "e-float", "e-bool", "p-str", "p-bool", "D-bool",
+         "D-str"])
+def test_table_file_field_types(capsys, tmp_path, where, key, value):
+    # p, e and D must be JSON integers: anything else, true included (a bool
+    # is an int to Python), ends in one error line and exit 1
+    obj = FuncTable.from_function(F2, 1, lambda a: a).to_obj()
+    (obj["field"] if where == "field" else obj)[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "verify-p3", "--table", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("fqtlab verify-p3: error: ")
+    assert err.count("\n") == 1 and repr(value) in err
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1

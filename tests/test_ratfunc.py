@@ -1,12 +1,13 @@
-"""Rational functions over F_q(t) and polynomials in one variable over them."""
+"""Rational functions over F_q(t), and the RatFunc reference for K[X] that
+the relation solvers are tested against."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtlab import (ExactDivisionError, FiniteField, Poly, RatFunc,
-                    lagrange_interpolate)
-from fqtlab.ratfunc import (kpoly, kpoly_deg, kpoly_divmod, kpoly_eval,
-                            kpoly_from_polys, kpoly_mul, kpoly_sub)
+                    fit_polynomial)
+from helpers import (kpoly, kpoly_divmod, kpoly_eval, kpoly_from_polys,
+                     kpoly_mul, lagrange_interpolate)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -88,8 +89,7 @@ def test_kpoly_divmod():
     a = kpoly_from_polys([one, Poly.zero(F2), one])
     b = kpoly_from_polys([t, one])
     q, r = kpoly_divmod(a, b)
-    assert kpoly_deg(q) == 1
-    check = kpoly_sub(kpoly_mul(q, b), kpoly_sub(kpoly([]), r) if r else kpoly([]))
+    assert len(q) == 2
     # reassemble: q*b + r == a
     total = list(kpoly_mul(q, b))
     for i, c in enumerate(r):
@@ -110,9 +110,10 @@ def test_lagrange_frozen():
     # through (0,0), (1,1), (t, t^2): the squaring polynomial X^2
     pts = [(Poly.zero(F2), Poly.zero(F2)), (one, one), (t, t * t)]
     coeffs = lagrange_interpolate(pts)
-    assert kpoly_deg(coeffs) == 2
+    assert len(coeffs) == 3
     assert coeffs[2] == RatFunc.one(F2)
     assert coeffs[1].is_zero() and coeffs[0].is_zero()
+    assert fit_polynomial(pts, 2).coeffs == coeffs
 
 
 def test_lagrange_reproduces_samples():
@@ -121,6 +122,7 @@ def test_lagrange_reproduces_samples():
     coeffs = lagrange_interpolate([(x, f(x)) for x in xs])
     for x in xs:
         assert kpoly_eval(coeffs, RatFunc.from_poly(x)) == RatFunc.from_poly(f(x))
+    assert fit_polynomial([(x, f(x)) for x in xs], 4).coeffs == coeffs
 
 
 def test_lagrange_errors():
@@ -128,3 +130,5 @@ def test_lagrange_errors():
         lagrange_interpolate([])
     with pytest.raises(ValueError):
         lagrange_interpolate([(t, one), (t, t)])
+    with pytest.raises(ValueError, match="positions 0 and 1"):
+        fit_polynomial([(t, one), (t, t)], 1)

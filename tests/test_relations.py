@@ -328,10 +328,11 @@ def test_fit_polynomial_budget_checked_before_interpolating(monkeypatch):
     def no_interpolation(points):
         raise AssertionError("interpolation started")
 
-    monkeypatch.setattr(relations, "lagrange_interpolate", no_interpolation)
+    monkeypatch.setattr(relations, "_interpolate", no_interpolation)
     tab, _ = build_counterexample(F2, 3)
-    # 16 nodes of degree <= 3: eliminating the 16-square Vandermonde system
-    # over K makes 16^3 updates of entries of t-degree <= 45, 188,416 in all
+    # 16 nodes of degree <= 3: the budget rule still counts eliminating the
+    # 16-square Vandermonde system over K, 16^3 updates of entries of
+    # t-degree <= 45, 188,416 in all, and refuses before interpolating
     with pytest.raises(BudgetExceeded):
         fit_polynomial(tab.items(), 15, budget=188415)
     with pytest.raises(AssertionError):

@@ -1,20 +1,26 @@
-"""Table checks of run_pipeline and fit_polynomial against RatFunc evaluation.
+"""run_pipeline, fit_polynomial and recover_polymap against the RatFunc path.
 
-The library clears denominators once, writing a K-poly as N(X)/d, and checks
-a table entry (A, f(A)) by N(A) = d*f(A) in F_q[t].  The references below are
-the checks written plainly: evaluate the K-poly at A by `kpoly_eval`, which
-normalises in K after every step, and compare RatFunc values.  Verdicts,
-step texts and every FitReport field must be equal to theirs.
+The library holds a map in K[X] as N(X)/d over F_q[t]: it interpolates and
+divides there, and checks a table entry (A, f(A)) by N(A) = d*f(A).  The
+references below are the same steps written plainly on RatFunc K-polys
+(`helpers`): Lagrange interpolation and long division in K[X], and
+evaluation by `kpoly_eval`, which normalises in K after every step.
+Verdicts, step texts and every FitReport field must be equal to theirs.
 """
 
 import random
+import re
+from itertools import zip_longest
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fqtlab import (FiniteField, FitReport, FuncTable, Poly, RatFunc,
-                    TriDegreeBounds, fit_polynomial, run_pipeline)
+from fqtlab import (ExactDivisionError, FiniteField, FitReport, FuncTable,
+                    LinearAnsatz, LinearCaps, Poly, RatFunc, TriDegreeBounds,
+                    fit_polynomial, recover_polymap, run_pipeline)
 from fqtlab import ratfunc, relations
-from fqtlab.ratfunc import kpoly, kpoly_clear, kpoly_eval, lagrange_interpolate
+from helpers import (kpoly, kpoly_clear, kpoly_divmod, kpoly_eval,
+                     kpoly_from_polys, kpoly_mul, lagrange_interpolate)
 
 
 def reference_reproduces(recovered, table):
@@ -86,8 +92,10 @@ def test_pipeline_matches_reference_on_seeded_tables(pe, D, seed):
     assert rep.ok and rep.recovered is not None
     assert rep.steps[-1] == reference_step(rep.recovered, table)
     assert rep.reproduces_table == reference_reproduces(rep.recovered, table)
+    nums, d = relations._pseudo_quotient(rep.ansatz)
+    assert (nums, d) == kpoly_clear(rep.recovered, field)
     bad = tampered(table, rng)
-    assert not relations._reproduces(rep.recovered, bad)
+    assert not relations._reproduces(nums, d, bad)
     assert not reference_reproduces(rep.recovered, bad)
     bad_rep = run_pipeline(bad, TriDegreeBounds(1, 3, 1), Poly.gen(field), 3)
     assert not bad_rep.ok
@@ -117,15 +125,16 @@ def test_checks_with_a_denominator(pe):
     recovered = quotient_kpoly(field)
     nums, d = kpoly_clear(recovered, field)
     assert d == Poly.gen(field)
-    assert relations._reproduces(recovered, table)
+    assert relations._reproduces(nums, d, table)
     assert reference_reproduces(recovered, table)
     bad = tampered(table, random.Random(4))
-    assert not relations._reproduces(recovered, bad)
+    assert not relations._reproduces(nums, d, bad)
     assert not reference_reproduces(recovered, bad)
     points = list(table.items())
     rep = fit_polynomial(points, field.q)
     assert rep == reference_fit(points, field.q)
     assert rep.coeffs == recovered
+    assert relations._interpolate(points[:field.q + 1]) == (nums, d)
     assert rep.holdout_ok and rep.values_in_ring
     assert fit_polynomial(bad.items(), field.q) == reference_fit(
         bad.items(), field.q)
@@ -155,33 +164,164 @@ def test_fit_all_zero():
 def test_empty_recovered_map_is_zero():
     field = FiniteField(2)
     zero = FuncTable.from_function(field, 3, lambda a: Poly.zero(field))
-    assert kpoly_clear((), field) == ((), Poly.one(field))
-    assert relations._reproduces((), zero)
+    one = Poly.one(field)
+    assert kpoly_clear((), field) == ((), one)
+    assert relations._reproduces((), one, zero)
     assert reference_reproduces((), zero)
     bad = tampered(zero, random.Random(5))
-    assert not relations._reproduces((), bad)
+    assert not relations._reproduces((), one, bad)
     assert not reference_reproduces((), bad)
 
 
 def test_gcd_counts_are_pinned(monkeypatch):
-    # On this (q=3, D=4) table the pipeline's 9 gcds all come from the exact
-    # division in recover_polymap, and fit's 88 from lagrange_interpolate:
-    # the recovered map has denominator 1, so the table checks make none.
-    # Evaluating by RatFunc per entry made 1,700 and 1,779.
+    # On this (q=3, D=4) table the recovered map is X^3 + t X^2 + (t+2) X + t.
+    # The pipeline's 8 = 4 + 4: P is the constant 2, so the pseudo-division
+    # makes none and hands (S, 2) to _lowest_terms, which folds
+    # gcd(2, S_0, ..., S_3) in 4 gcds; then one RatFunc(N_j, 1) per
+    # coefficient.  The table checks make none.  fit's 11 = 3 + 4 + 4: the
+    # lcm w of the 3 weights w_i with y_i != 0 (the second of the 4 nodes has
+    # y = 0), folded from 1; gcd(w, N_0, ..., N_3); and one RatFunc(N_j, 1)
+    # per coefficient.  The RatFunc path made 9 and 88, and evaluating by
+    # RatFunc per entry made 1,700 and 1,779.
     calls = []
-    gcd = ratfunc.poly_gcd
 
-    def counting_gcd(a, b):
-        calls.append(1)
-        return gcd(a, b)
+    def counting(gcd, where):
+        def counting_gcd(a, b):
+            calls.append(where)
+            return gcd(a, b)
+        return counting_gcd
 
-    monkeypatch.setattr(ratfunc, "poly_gcd", counting_gcd)
+    for mod in (ratfunc, relations):
+        monkeypatch.setattr(mod, "poly_gcd", counting(mod.poly_gcd, mod))
     field = FiniteField(3)
     table = polymap_table(field, 4, random.Random(1))
     rep = run_pipeline(table, TriDegreeBounds(1, 3, 1), Poly.gen(field), 3)
     assert rep.ok
-    assert len(calls) == 9
+    assert calls == [relations] * 4 + [ratfunc] * 4
     del calls[:]
     fit = fit_polynomial(table.items(), 3)
     assert fit.holdout_ok and fit.values_in_ring
-    assert len(calls) == 88
+    assert calls == [relations] * 7 + [ratfunc] * 4
+
+
+def test_fit_builds_one_ratfunc_per_coefficient(monkeypatch):
+    # RatFunc appears only at the report boundary: interpolation and the
+    # table checks run on (N, d), and each coefficient is built once
+    built = []
+    init, make = RatFunc.__init__, RatFunc._make.__func__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counting_make(cls, *args):
+        built.append(1)
+        return make(cls, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    monkeypatch.setattr(RatFunc, "_make", classmethod(counting_make))
+    for pe, D in FIELDS:
+        field = FiniteField(*pe)
+        for tab in (polymap_table(field, D, random.Random(6)),
+                    quotient_table(field, min(D, 3))):
+            for B in range(4):
+                del built[:]
+                rep = fit_polynomial(tab.items(), B)
+                assert len(built) == len(rep.coeffs)
+
+
+# -- properties: the F_q[t] forms against the RatFunc path ------------------------
+
+SMALL_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(2, 2)]
+
+
+def outcome(fn, *args):
+    """fn's result, or the text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def fit_cases(draw):
+    """Up to 6 points with t-degree <= 2 inputs, repeats allowed, and values
+    that are often zero; B leaves the rest as holdout."""
+    field = draw(st.sampled_from(SMALL_FIELDS))
+    q = field.q
+    n = draw(st.integers(1, 6))
+    xs = draw(st.lists(st.integers(0, q ** 3 - 1), min_size=n, max_size=n))
+    ys = draw(st.lists(st.one_of(st.just(0), st.integers(0, q ** 4 - 1)),
+                       min_size=n, max_size=n))
+    points = [(Poly.from_index(field, x), Poly.from_index(field, y))
+              for x, y in zip(xs, ys)]
+    return points, draw(st.integers(0, n - 1))
+
+
+@given(fit_cases())
+@settings(max_examples=150, deadline=None)
+def test_fit_matches_reference_property(case):
+    points, B = case
+    assert outcome(fit_polynomial, points, B) == outcome(reference_fit,
+                                                          points, B)
+    nodes = points[:B + 1]
+    try:
+        ref = lagrange_interpolate(nodes)
+    except ValueError as exc:  # repeated nodes: the same error text
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            relations._interpolate(nodes)
+    else:
+        field = nodes[0][0].field
+        assert relations._interpolate(nodes) == kpoly_clear(ref, field)
+
+
+@st.composite
+def division_cases(draw):
+    """P = g * P0 with P0 of X-degree 0-2 and leading coefficient not 1, and
+    -Q either P0 * S exactly (S = 0 gives Q = 0), so that -Q/P = S/g has
+    the content g as a denominator, or P0 * S plus a random remainder."""
+    field = draw(st.sampled_from(SMALL_FIELDS))
+    q = field.q
+
+    def coeffs(lo, n):
+        return [Poly.from_index(field, k) for k in
+                draw(st.lists(st.integers(lo, q ** 3 - 1), min_size=n,
+                              max_size=n))]
+
+    p0 = coeffs(0, draw(st.integers(0, 2))) + coeffs(2, 1)
+    g = coeffs(1, 1)[0]
+    s = coeffs(0, draw(st.integers(0, 3)))
+    neg_q = [c.to_poly() for c in kpoly_mul(kpoly_from_polys(p0),
+                                            kpoly_from_polys(s))]
+    if draw(st.booleans()):
+        neg_q = [a + b for a, b in zip_longest(neg_q, coeffs(0, len(p0) - 1),
+                                               fillvalue=Poly.zero(field))]
+    while neg_q and neg_q[-1].is_zero():
+        neg_q.pop()
+    caps = LinearCaps(len(p0) - 1, 5, max(len(neg_q) - 1, 0), 8)
+    return LinearAnsatz(tuple(g * c for c in p0), tuple(-c for c in neg_q),
+                        caps)
+
+
+@given(division_cases())
+@settings(max_examples=150, deadline=None)
+def test_recover_matches_reference_division_property(ansatz):
+    quot, rem = kpoly_divmod(kpoly_from_polys(-c for c in ansatz.q_coeffs),
+                             kpoly_from_polys(ansatz.p_coeffs))
+    if rem:
+        with pytest.raises(ExactDivisionError, match=re.escape(
+                "-Q is not divisible by P in K[X]")):
+            recover_polymap(ansatz)
+    else:
+        assert recover_polymap(ansatz) == quot
+        field = ansatz.p_coeffs[-1].field
+        assert relations._pseudo_quotient(ansatz) == kpoly_clear(quot, field)
+
+
+def test_recover_from_zero_p():
+    field = FiniteField(3)
+    caps = LinearCaps(1, 0, 1, 0)
+    for p in ((), (Poly.zero(field),)):
+        ansatz = LinearAnsatz(p, (Poly.one(field),), caps)
+        with pytest.raises(ValueError, match="cannot recover a map from P = 0"):
+            recover_polymap(ansatz)
