@@ -23,7 +23,8 @@ from .errors import (DEFAULT_DEGREE_BUDGET as DEGREE_BUDGET,
                      DEFAULT_MATRIX_BUDGET as MATRIX_BUDGET,
                      BudgetExceeded, ExactDivisionError, FqtError)
 from .field import FiniteField, is_prime
-from .functable import FuncTable, growth_profile, verify_p3
+from .functable import (FuncTable, field_from_obj, field_to_obj,
+                        growth_profile, verify_p3)
 from .irreducibles import (count_irreducibles, degree_sum,
                            enumerate_monic_irreducibles,
                            product_identity_check)
@@ -101,8 +102,7 @@ def _jsonable(x):
     if isinstance(x, FuncTable):
         return x.to_obj()
     if isinstance(x, FiniteField):
-        return {"p": x.p, "e": x.e, "q": x.q,
-                "modulus": list(x.modulus) if x.modulus else None}
+        return dict(field_to_obj(x), q=x.q)
     if dataclasses.is_dataclass(x):
         return {f.name: _jsonable(getattr(x, f.name))
                 for f in dataclasses.fields(x)}
@@ -120,13 +120,15 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
+def _unwrap(obj, key):
+    """obj, or the part `key` of its result when obj is a report envelope."""
+    result = obj.get("result") if isinstance(obj, dict) else None
+    return result[key] if isinstance(result, dict) and result.get(key) else obj
+
+
 def _load_table(path) -> FuncTable:
     with open(path) as fh:
-        obj = json.load(fh)
-    if "result" in obj and isinstance(obj["result"], dict) \
-            and "table" in obj["result"]:
-        obj = obj["result"]["table"]
-    return FuncTable.from_obj(obj)
+        return FuncTable.from_obj(_unwrap(json.load(fh), "table"))
 
 
 def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
@@ -154,17 +156,25 @@ def _ansatz_to_obj(ansatz: relations.LinearAnsatz, field) -> dict:
 
 
 def _ansatz_from_obj(obj) -> relations.LinearAnsatz:
-    if "result" in obj and isinstance(obj["result"], dict) \
-            and obj["result"].get("ansatz"):
-        obj = obj["result"]["ansatz"]
-    f = obj["field"]
-    field = FiniteField(f["p"], f["e"],
-                        tuple(f["modulus"]) if f.get("modulus") else None)
-    caps = relations.LinearCaps(**{k: int(v) for k, v in obj["caps"].items()})
+    obj = _unwrap(obj, "ansatz")
+    if not isinstance(obj, dict):
+        raise ValueError("an ansatz file must hold a JSON object")
+    field = field_from_obj(obj["field"])
+    caps = obj["caps"]
+    names = [f.name for f in dataclasses.fields(relations.LinearCaps)]
+    if not (isinstance(caps, dict) and sorted(caps) == sorted(names)
+            and all(type(v) is int for v in caps.values())):
+        raise ValueError("ansatz caps must map exactly %s to integers, got %r"
+                         % (", ".join(names), caps))
+    for key in ("p_coeffs", "q_coeffs"):
+        if not (isinstance(obj[key], list)
+                and all(isinstance(c, str) for c in obj[key])):
+            raise ValueError("ansatz %s must be a list of polynomial "
+                             "strings, got %r" % (key, obj[key]))
     return relations.LinearAnsatz(
         p_coeffs=tuple(parse_poly(field, c) for c in obj["p_coeffs"]),
         q_coeffs=tuple(parse_poly(field, c) for c in obj["q_coeffs"]),
-        caps=caps)
+        caps=relations.LinearCaps(**caps))
 
 
 # -- handlers: each returns (result object, ok, fail_is_verification) --------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded
 from .factor import factor, radical
-from .field import prime_factors
+from .field import divisors, prime_factors
 from .poly import Poly
 
 
@@ -56,7 +56,6 @@ def delta(spec: DeltaSpec, budget: int = DEFAULT_DEGREE_BUDGET) -> Poly:
                              % (spec.product_degree, budget))
     field = spec.u.field
     one = Poly.one(field)
-    acc = one
     power = spec.u ** (spec.n - spec.m)
     acc = power - one
     for _ in range(spec.m):
@@ -107,9 +106,9 @@ class CountReport:
     survivors lists the i in 0..m with n-i not divisible by p^2; ai_sizes
     pairs each survivor with the number of (n-i)-th roots of unity.  The
     margins compare the computed radical degree d against the two lower
-    bound shapes, for caller-supplied constants: d >= delta*M*n^(2-eps) - C7
+    bound shapes: d >= delta*M*n^(2-eps) - C7 for caller-supplied constants
     (margin_a, float) and d >= delta*(1 - 1/p + 1/p^2 - 1/p^3)*m*n - C8*n - C9
-    (margin_b, exact Fraction, C8 = C9 = 0 by default).
+    with C8 = C9 = 0 (margin_b, exact Fraction).
     """
     spec: DeltaSpec
     d: int
@@ -129,13 +128,12 @@ class CountReport:
 
 def count_report(spec: DeltaSpec,
                  part_a: tuple[float, float, float] | None = None,
-                 part_b: tuple[int, int] = (0, 0),
                  budget: int = DEFAULT_DEGREE_BUDGET) -> CountReport:
     """Compute the counting identity and bound margins for one spec.
 
-    part_a, when given, is (M, eps, C7); part_b is (C8, C9).  The identity
-    sum over survivors = S0 - S1 + (S1 - S2)/p is asserted, the bound
-    margins are only reported.
+    part_a, when given, is (M, eps, C7).  The identity sum over survivors
+    = S0 - S1 + (S1 - S2)/p is asserted, the bound margins are only
+    reported.
     """
     m, n, p = spec.m, spec.n, spec.p
     v0, v1, v2 = s0(m, n), s1(m, n, p), s2(m, n, p)
@@ -153,9 +151,7 @@ def count_report(spec: DeltaSpec,
                 pairwise_ok = False
     d = d_mnu(spec, budget)
     delta_small = spec.delta_small
-    c8, c9 = part_b
-    rhs_b = (delta_small * Fraction(p**3 - p**2 + p - 1, p**3) * m * n
-             - c8 * n - c9)
+    rhs_b = delta_small * Fraction(p**3 - p**2 + p - 1, p**3) * m * n
     margin_b = Fraction(d) - rhs_b
     margin_a = rhs_a = None
     applicable = m == n - 1
@@ -192,15 +188,7 @@ def union_size_identity_map(spec: DeltaSpec) -> int:
     for a in orders:
         lcm = lcm * a // math.gcd(lcm, a)
     primes = prime_factors(lcm)
-    divisors = [1]
-    for q in primes:
-        e = 0
-        x = lcm
-        while x % q == 0:
-            x //= q
-            e += 1
-        divisors = [d * q**k for d in divisors for k in range(e + 1)]
-    return sum(_totient_from_factorization(d, primes) for d in divisors
+    return sum(_totient_from_factorization(d, primes) for d in divisors(lcm)
                if any(a % d == 0 for a in orders))
 
 

@@ -34,6 +34,17 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1, ascending."""
+    out = [1]
+    for r in prime_factors(n):
+        e = 1
+        while n % r ** (e + 1) == 0:
+            e += 1
+        out = [d * r ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # for every n below this bound (Sorenson and Webster, Math. Comp. 2017).
 PRIME_LIMIT = 3317044064679887385961981

@@ -25,8 +25,8 @@ from .errors import (DEFAULT_DEGREE_BUDGET, DEFAULT_ENUM_BUDGET,
                      BudgetExceeded, TableDomainError)
 from .field import FiniteField
 from .irreducibles import degree_sum, enumerate_monic_irreducibles
-from .poly import (NEG_INF, Poly, RemainderTree, format_poly_compact,
-                   parse_poly, polys_up_to)
+from .poly import (NEG_INF, Poly, RemainderTree, _horner,
+                   format_poly_compact, parse_poly, polys_up_to)
 
 # Degree cap for human-form values in table files.  build_counterexample
 # refuses q^D > budget, so under the default budget its largest value, of
@@ -45,6 +45,28 @@ def _check_domain_size(field, D: int, n: int):
         raise ValueError(
             "table must cover the full domain: expected %d^%d entries, got %d"
             % (field.q, D + 1, n))
+
+
+def field_to_obj(field: FiniteField) -> dict:
+    """The field as table and ansatz files store it."""
+    return {"p": field.p, "e": field.e,
+            "modulus": list(field.modulus) if field.modulus else None}
+
+
+def field_from_obj(fo) -> FiniteField:
+    """The field a table or ansatz file names; ValueError on a bad shape."""
+    if not isinstance(fo, dict):
+        raise ValueError("field must be an object, got %r" % (fo,))
+    for key in ("p", "e"):
+        if type(fo[key]) is not int:
+            raise ValueError("field %s must be an integer, got %r"
+                             % (key, fo[key]))
+    modulus = fo.get("modulus")
+    if modulus and not (isinstance(modulus, list)
+                        and all(type(c) is int for c in modulus)):
+        raise ValueError("field modulus must be a list of integers, got %r"
+                         % (modulus,))
+    return FiniteField(fo["p"], fo["e"], tuple(modulus) if modulus else None)
 
 
 class FuncTable:
@@ -76,14 +98,8 @@ class FuncTable:
     def from_polymap(cls, field, D, coeffs, budget: int = DEFAULT_ENUM_BUDGET):
         """Table of A -> sum coeffs[j] * A^j for coeffs in F_q[t]."""
         coeffs = tuple(coeffs)
-
-        def fn(a):
-            out = Poly.zero(field)
-            for c in reversed(coeffs):
-                out = out * a + c
-            return out
-
-        return cls.from_function(field, D, fn, budget=budget)
+        return cls.from_function(field, D, lambda a: _horner(coeffs, a),
+                                 budget=budget)
 
     def lookup(self, a: Poly) -> Poly:
         try:
@@ -125,30 +141,31 @@ class FuncTable:
     # -- serialization ------------------------------------------------------
 
     def to_obj(self) -> dict:
-        field_obj = {"p": self.field.p, "e": self.field.e,
-                     "modulus": list(self.field.modulus) if self.field.modulus else None}
         values = [[format_poly_compact(a), format_poly_compact(v)]
                   for a, v in self.items()]
-        return {"field": field_obj, "D": self.D, "values": values}
+        return {"field": field_to_obj(self.field), "D": self.D,
+                "values": values}
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_obj(cls, obj) -> "FuncTable":
-        fo = obj["field"]
-        for key in ("p", "e"):
-            if type(fo[key]) is not int:
-                raise ValueError("table field %s must be an integer, got %r"
-                                 % (key, fo[key]))
-        field = FiniteField(fo["p"], fo["e"],
-                            tuple(fo["modulus"]) if fo.get("modulus") else None)
+        if not isinstance(obj, dict):
+            raise ValueError("a table file must hold a JSON object")
+        field = field_from_obj(obj["field"])
         D = obj["D"]
         if type(D) is not int or D < 0:
             raise ValueError("table D must be an integer >= 0, got %r" % (D,))
-        _check_domain_size(field, D, len(obj["values"]))
+        values = obj["values"]
+        if not (isinstance(values, list) and all(
+                isinstance(e, list) and len(e) == 2
+                and all(isinstance(x, str) for x in e) for e in values)):
+            raise ValueError("table values must be a list of [input, value] "
+                             "pairs of polynomial strings")
+        _check_domain_size(field, D, len(values))
         vals = {}
-        for a_txt, v_txt in obj["values"]:
+        for a_txt, v_txt in values:
             vals[parse_poly(field, a_txt, max_degree=D)] = parse_poly(
                 field, v_txt, max_degree=_VALUE_DEGREE_CAP)
         return cls(field, D, vals)

@@ -11,20 +11,8 @@ from functools import lru_cache
 
 from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded
 from .factor import is_irreducible
-from .field import prime_factors
+from .field import divisors, prime_factors
 from .poly import Poly, monic_polys_of_degree
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def _mobius(n: int) -> int:
@@ -39,7 +27,7 @@ def count_irreducibles(q: int, d: int) -> int:
     """Number of monic irreducibles of degree d over F_q."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    total = sum(_mobius(e) * q ** (d // e) for e in _divisors(d))
+    total = sum(_mobius(e) * q ** (d // e) for e in divisors(d))
     assert total % d == 0
     return total // d
 
@@ -82,7 +70,7 @@ def product_identity_check(field, n: int,
             "identity at n=%d materializes degree %d > budget %d"
             % (n, q ** n, budget))
     lhs = Poly.one(field)
-    for d in _divisors(n):
+    for d in divisors(n):
         for p in enumerate_monic_irreducibles(field, d):
             lhs = lhs * p
     t = Poly.gen(field)

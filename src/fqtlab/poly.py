@@ -50,7 +50,7 @@ import json
 import re
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import BudgetExceeded, NotCoprime, PolyParseError
 from .field import FiniteField
@@ -627,6 +627,13 @@ class Poly:
         return format_poly(self)
 
 
+def _horner(cs, z: Poly) -> Poly:
+    """sum cs[j] * z^j in F_q[t]; zero for an empty cs."""
+    if not cs:
+        return Poly.zero(z.field)
+    return reduce(lambda acc, c: acc * z + c, reversed(cs))
+
+
 # -- enumeration ------------------------------------------------------------------
 
 
@@ -808,6 +815,16 @@ def _blocks_unpack(x: int, F, s: int, n: int) -> list:
     return [codes[k] for k in keys]
 
 
+def _nonzero_moduli(moduli) -> list:
+    """The moduli as a list; raise unless there is one and none is zero."""
+    moduli = list(moduli)
+    if not moduli:
+        raise ValueError("need at least one modulus")
+    if any(m.is_zero() for m in moduli):
+        raise ZeroDivisionError("zero modulus")
+    return moduli
+
+
 class CRTBasis:
     """Chinese-remainder data for one list of pairwise coprime moduli P_i.
 
@@ -826,12 +843,7 @@ class CRTBasis:
     __slots__ = ("modulus", "_terms", "_slot")
 
     def __init__(self, moduli):
-        moduli = list(moduli)
-        if not moduli:
-            raise ValueError("need at least one modulus")
-        for m in moduli:
-            if m.is_zero():
-                raise ZeroDivisionError("zero modulus")
+        moduli = _nonzero_moduli(moduli)
         for i in range(len(moduli)):
             for j in range(i + 1, len(moduli)):
                 if poly_gcd(moduli[i], moduli[j]).deg > 0:
@@ -908,12 +920,7 @@ class RemainderTree:
     __slots__ = ("field", "_levels")
 
     def __init__(self, moduli):
-        moduli = list(moduli)
-        if not moduli:
-            raise ValueError("need at least one modulus")
-        for m in moduli:
-            if m.is_zero():
-                raise ZeroDivisionError("zero modulus")
+        moduli = _nonzero_moduli(moduli)
         F = self.field = moduli[0].field
         levels = [moduli]
         while len(levels[-1]) > 1:

@@ -31,7 +31,7 @@ from .errors import (DEFAULT_MATRIX_BUDGET, BudgetExceeded,
 from .functable import FuncTable, verify_p3
 from .irreducibles import irreducible_product
 from .linalg import kernel_vector
-from .poly import NEG_INF, Poly, poly_gcd
+from .poly import NEG_INF, Poly, _horner, poly_gcd
 from .ratfunc import RatFunc
 
 
@@ -89,13 +89,6 @@ class RelationQ:
         step = b.column(1, 0, 0)  # columns of one t-power
         return [[Poly(field, self.coeffs[b.column(0, j, k)::step])
                  for j in range(b.j_max + 1)] for k in range(b.k_max + 1)]
-
-
-def _horner(cs, z: Poly) -> Poly:
-    """sum cs[j] * z^j in F_q[t]; zero for an empty cs."""
-    if not cs:
-        return Poly.zero(z.field)
-    return reduce(lambda acc, c: acc * z + c, reversed(cs))
 
 
 def _evaluate_slices(slices, x: Poly, y: Poly) -> Poly:
@@ -274,14 +267,7 @@ class LinearAnsatz:
     caps: LinearCaps
 
     def residual(self, x: Poly, y: Poly) -> Poly:
-        field = x.field
-        acc = Poly.zero(field)
-        xp = _powers(x, max(len(self.p_coeffs), len(self.q_coeffs)) - 1)
-        for j, c in enumerate(self.p_coeffs):
-            acc = acc + c * xp[j] * y
-        for j, c in enumerate(self.q_coeffs):
-            acc = acc + c * xp[j]
-        return acc
+        return _horner(self.p_coeffs, x) * y + _horner(self.q_coeffs, x)
 
 
 def _linear_rows(samples, caps: LinearCaps, budget: int) -> list:
@@ -517,7 +503,7 @@ def check_vanishing_lemma(table: FuncTable, c1: int) -> VanishingReport:
     p3 = verify_p3(table)
     cap_bad = []
     floor_bad = []
-    first_nonzero = None
+    first_nonzero = value = witness = divides = None
     for a, v in table.items():
         n = 0 if a.is_zero() else a.deg
         if n <= c1:
@@ -526,25 +512,17 @@ def check_vanishing_lemma(table: FuncTable, c1: int) -> VanishingReport:
         elif not (v.deg <= q ** n - 1):
             cap_bad.append(a)
         if first_nonzero is None and not v.is_zero():
-            first_nonzero = a
-    hyp_ok = p3.ok and not cap_bad and not floor_bad
-    if first_nonzero is None:
-        return VanishingReport(
-            c1=c1, congruence_ok=p3.ok, congruence_violations=p3.violations,
-            degree_cap_ok=not cap_bad, degree_cap_witnesses=tuple(cap_bad),
-            zero_floor_ok=not floor_bad, zero_floor_witnesses=tuple(floor_bad),
-            hypotheses_ok=hyp_ok, all_zero=True,
-            counterexample=None, counterexample_value=None,
-            divisibility_witness=None, witness_divides=None)
-    n = 0 if first_nonzero.is_zero() else first_nonzero.deg
-    witness = irreducible_product(field, n)
-    value = table.lookup(first_nonzero)
-    divides = (value % witness).is_zero() if witness.deg > 0 else True
+            first_nonzero, value = a, v
+    if first_nonzero is not None:
+        n = 0 if first_nonzero.is_zero() else first_nonzero.deg
+        witness = irreducible_product(field, n)
+        divides = (value % witness).is_zero() if witness.deg > 0 else True
     return VanishingReport(
         c1=c1, congruence_ok=p3.ok, congruence_violations=p3.violations,
         degree_cap_ok=not cap_bad, degree_cap_witnesses=tuple(cap_bad),
         zero_floor_ok=not floor_bad, zero_floor_witnesses=tuple(floor_bad),
-        hypotheses_ok=hyp_ok, all_zero=False,
+        hypotheses_ok=p3.ok and not cap_bad and not floor_bad,
+        all_zero=first_nonzero is None,
         counterexample=first_nonzero, counterexample_value=value,
         divisibility_witness=witness, witness_divides=divides)
 

@@ -4,10 +4,11 @@ search for a large irreducible factor of A - U^n.
 
 Solutions are enumerated exactly over an exponent box [-E, E]^dim times the
 constant units.  Orbit reduction repeatedly takes p-th roots of both
-coordinates; a coordinate is a p-th power in the rational function field iff
-every irreducible factor of its reduced numerator and denominator occurs
-with multiplicity divisible by p (the constant is never an obstruction:
-Frobenius permutes the constant field).
+coordinates.  F_q is perfect, so a reduced fraction N/D with D monic is a
+p-th power in the rational function field iff N and D have nonzero
+coefficients only at exponents divisible by p (Lidl and Niederreiter,
+Finite Fields, Thm 1.20); one coefficient scan of each decides it and
+yields the root, with no factorization.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .errors import (DEFAULT_DEGREE_BUDGET, DEFAULT_ENUM_BUDGET,
                      BudgetExceeded)
-from .factor import factor
+from .factor import factor, pth_root
 from .poly import NEG_INF, Poly
 from .ratfunc import RatFunc
 
@@ -132,21 +133,13 @@ def enumerate_solutions(spec: GroupSpec, E: int,
     return out
 
 
-def _pth_root_ratfunc(v: RatFunc, seed: int = 0):
-    """Exact p-th root in F_q(t), or None when some factor multiplicity is
-    not divisible by p."""
-    field = v.num.field
-    p = field.p
-    parts = []
-    for poly in (v.num, v.den):
-        fl = factor(poly, seed)
-        if any(mult % p for _, mult in fl.factors):
-            return None
-        root = Poly.constant(field, field.pth_root(fl.unit))
-        for prime, mult in fl.factors:
-            root = root * prime ** (mult // p)
-        parts.append(root)
-    return RatFunc(parts[0], parts[1])
+def _pth_root_ratfunc(v: RatFunc):
+    """Exact p-th root in F_q(t), or None when v is not a p-th power."""
+    try:
+        num, den = pth_root(v.num), pth_root(v.den)
+    except ValueError:
+        return None
+    return RatFunc(num, den)
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,8 @@ class OrbitReport:
 
 def orbit_reduce(solutions, spec: GroupSpec, seed: int = 0) -> OrbitReport:
     """Group solutions by repeated simultaneous p-th-root descent and compare
-    the orbit count against p^(2r) - 1.  `seed` goes to every `factor` call.
+    the orbit count against p^(2r) - 1.  `seed` goes to the `factor` calls
+    behind the rank.
 
     The count is box-relative: the search can only exhibit orbits, so ok
     means no overflow was observed, not that the global bound is attained.
@@ -178,10 +172,10 @@ def orbit_reduce(solutions, spec: GroupSpec, seed: int = 0) -> OrbitReport:
         x, y = pair.x.value, pair.y.value
         k = 0
         while True:
-            rx = _pth_root_ratfunc(x, seed)
+            rx = _pth_root_ratfunc(x)
             if rx is None:
                 break
-            ry = _pth_root_ratfunc(y, seed)
+            ry = _pth_root_ratfunc(y)
             if ry is None:
                 break
             x, y = rx, ry

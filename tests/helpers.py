@@ -1,7 +1,8 @@
-"""Tables shared by the test suite, and the RatFunc reference for K[X]."""
+"""Tables shared by the test suite, the RatFunc reference for K[X], and the
+factor-based p-th root in F_q(t)."""
 
 from fqtlab import (FuncTable, RatFunc, crt, enumerate_monic_irreducibles,
-                    irreducible_product)
+                    factor, irreducible_product)
 from fqtlab.poly import Poly, poly_gcd, polys_up_to
 
 
@@ -139,3 +140,26 @@ def lagrange_interpolate(points):
                 denom = denom * (xi - xj)
         acc = kpoly_add(acc, kpoly_mul(basis, (yi / denom,)))
     return acc
+
+
+# -- p-th roots in F_q(t) by factoring --------------------------------------------
+# The library decides a p-th root by one coefficient scan of the numerator and
+# the denominator.  This is the routine it replaced: read the root off both
+# factorizations.
+
+
+def pth_root_ratfunc_by_factoring(v, seed=0):
+    """Exact p-th root in F_q(t), or None when some factor multiplicity is
+    not divisible by p."""
+    field = v.num.field
+    p = field.p
+    parts = []
+    for poly in (v.num, v.den):
+        fl = factor(poly, seed)
+        if any(mult % p for _, mult in fl.factors):
+            return None
+        root = Poly.constant(field, field.pth_root(fl.unit))
+        for prime, mult in fl.factors:
+            root = root * prime ** (mult // p)
+        parts.append(root)
+    return RatFunc(parts[0], parts[1])

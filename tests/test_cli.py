@@ -123,6 +123,85 @@ def test_table_file_field_types(capsys, tmp_path, where, key, value):
     assert err.count("\n") == 1 and repr(value) in err
 
 
+def _table_obj():
+    return FuncTable.from_function(F2, 1, lambda a: a).to_obj()
+
+
+def _ansatz_obj():
+    ansatz = LinearAnsatz((one,), (t, one), LinearCaps(0, 0, 1, 1))
+    return json.loads(json.dumps(_ansatz_to_obj(ansatz, F2)))
+
+
+def _set(where, key, value):
+    def mutate(obj):
+        (obj[where] if where else obj)[key] = value
+        return obj
+    return mutate
+
+
+def _set_field(**kw):
+    def mutate(obj):
+        obj["field"].update(kw)
+        return obj
+    return mutate
+
+
+def _drop_cap(obj):
+    del obj["caps"]["q_coeff_deg"]
+    return obj
+
+
+_MALFORMED_FILES = {
+    "table-modulus-int": ("verify-p3", _table_obj, _set_field(modulus=5)),
+    "table-modulus-null": ("verify-p3", _table_obj,
+                           _set_field(e=2, modulus=[1, None, 1])),
+    "table-values-int": ("verify-p3", _table_obj, _set(None, "values", 5)),
+    "table-entry-int": ("verify-p3", _table_obj, _set("values", 0, 5)),
+    "table-entry-ints": ("verify-p3", _table_obj, _set("values", 0, [0, 1])),
+    "table-entry-short": ("verify-p3", _table_obj, _set("values", 0, ["0"])),
+    "table-entry-long": ("verify-p3", _table_obj,
+                         _set("values", 0, ["0", "0", "0"])),
+    "table-field-list": ("verify-p3", _table_obj, _set(None, "field", [])),
+    "table-top-list": ("verify-p3", _table_obj, lambda obj: [obj]),
+    "ansatz-e-str": ("recover", _ansatz_obj, _set_field(e="2")),
+    "ansatz-modulus-int": ("recover", _ansatz_obj, _set_field(modulus=5)),
+    "ansatz-caps-missing": ("recover", _ansatz_obj, _drop_cap),
+    "ansatz-caps-extra": ("recover", _ansatz_obj, _set("caps", "r_deg", 0)),
+    "ansatz-p-coeffs-int": ("recover", _ansatz_obj, _set(None, "p_coeffs", 5)),
+    "ansatz-p-coeffs-int-entry": ("recover", _ansatz_obj,
+                                  _set(None, "p_coeffs", [5])),
+    "ansatz-top-list": ("recover", _ansatz_obj, lambda obj: [obj]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_FILES))
+def test_malformed_file_shapes(capsys, tmp_path, case):
+    # a file of the wrong shape ends in one error line and exit 1, never in
+    # a TypeError or AttributeError traceback
+    cmd, make, mutate = _MALFORMED_FILES[case]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(mutate(make())))
+    flag = "--table" if cmd == "verify-p3" else "--ansatz"
+    code, out, err = run_cli(capsys, cmd, flag, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("fqtlab %s: error: " % cmd)
+    assert err.count("\n") == 1
+
+
+def test_malformed_file_bases_are_valid(capsys, tmp_path):
+    # the unmutated files run, so each case above fails on its one change
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_table_obj()))
+    assert run_cli(capsys, "verify-p3", "--table", str(path))[0] == 0
+    path = tmp_path / "ansatz.json"
+    path.write_text(json.dumps(_ansatz_obj()))
+    code, out, _ = run_cli(capsys, "recover", "--ansatz", str(path))
+    assert code == 0
+    # F = -Q/P = t + X over F_2
+    assert [c["num"] for c in envelope(out)["result"]["recovered"]] == \
+        ["t", "1"]
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == 1

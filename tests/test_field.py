@@ -2,7 +2,7 @@ import pytest
 
 import fqtlab.field as field_mod
 from fqtlab.field import (PRIME_LIMIT, FiniteField, default_modulus,
-                          is_prime, prime_factors)
+                          divisors, is_prime, prime_factors)
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -17,6 +17,11 @@ def test_prime_factors():
     assert prime_factors(12) == (2, 3)
     assert prime_factors(360) == (2, 3, 5)
     assert prime_factors(97) == (97,)
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_is_prime_matches_trial_division():

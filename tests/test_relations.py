@@ -129,6 +129,32 @@ def _powers(x, n):
     return out
 
 
+def reference_residual(ansatz, x, y):
+    """P(x)*y + Q(x) as a sum of c_j * x^j terms, one power list for both."""
+    acc = Poly.zero(x.field)
+    xp = _powers(x, max(len(ansatz.p_coeffs), len(ansatz.q_coeffs)) - 1)
+    for j, c in enumerate(ansatz.p_coeffs):
+        acc = acc + c * xp[j] * y
+    for j, c in enumerate(ansatz.q_coeffs):
+        acc = acc + c * xp[j]
+    return acc
+
+
+def test_residual_matches_power_sum():
+    rng = random.Random(12)
+    for field in (F2, F3, FiniteField(2, 2)):
+        def rand_poly():
+            return Poly(field, [rng.randrange(field.q)
+                                for _ in range(rng.randrange(5))])
+        for _ in range(60):
+            caps = LinearCaps(0, 0, 0, 0)  # not read by residual
+            ansatz = LinearAnsatz(
+                tuple(rand_poly() for _ in range(rng.randrange(4))),
+                tuple(rand_poly() for _ in range(rng.randrange(4))), caps)
+            x, y = rand_poly(), rand_poly()
+            assert ansatz.residual(x, y) == reference_residual(ansatz, x, y)
+
+
 def reference_relation_rows(table, bounds):
     """One row per (entry, t-power), one coefficient lookup per unknown."""
     rows = []

@@ -1,10 +1,13 @@
 """Unit-equation solutions, Frobenius orbit collapse, large-factor scans."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqtlab import (BudgetExceeded, FiniteField, GroupElem, GroupSpec, Poly,
                     RatFunc, SolutionPair, enumerate_solutions,
                     find_large_factor, orbit_reduce)
+from fqtlab.sunit import _pth_root_ratfunc
+from helpers import pth_root_ratfunc_by_factoring
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -113,6 +116,55 @@ def test_orbit_members_share_base_powers():
         for k, pair in orb.members:
             assert pair.x.value == orb.base_x ** (2 ** k)
             assert pair.y.value == orb.base_y ** (2 ** k)
+
+
+DESCENT_FIELDS = (F2, F3, FiniteField(2, 2), FiniteField(5),
+                  FiniteField(3, 2))
+
+
+@st.composite
+def descent_start(draw):
+    """A nonzero element of F_q(t): a random reduced fraction, a p-th or
+    p^2-th power of one (times a constant, which is always a p-th power),
+    or a constant."""
+    F = draw(st.sampled_from(DESCENT_FIELDS))
+
+    def poly():
+        cs = draw(st.lists(st.integers(0, F.q - 1), max_size=5))
+        return Poly(F, cs + [draw(st.integers(1, F.q - 1))])
+
+    unit = RatFunc.from_poly(Poly.constant(F, draw(st.integers(1, F.q - 1))))
+    kind = draw(st.sampled_from(("fraction", "power", "constant")))
+    if kind == "constant":
+        return unit
+    v = RatFunc(poly(), poly())
+    if kind == "power":
+        v = v ** (F.p ** draw(st.integers(1, 2))) * unit
+    return v
+
+
+@given(descent_start())
+@settings(max_examples=150, deadline=None)
+def test_pth_root_matches_factoring(v):
+    # a chain of descents: each step's root, or None, equals the root read
+    # off the factorizations, and the next step starts from it
+    for _ in range(4):
+        root = _pth_root_ratfunc(v)
+        assert root == pth_root_ratfunc_by_factoring(v)
+        if root is None:
+            break
+        assert root ** v.num.field.p == v
+        v = root
+
+
+def test_pth_root_descends_to_a_non_power():
+    # (t^8 + 1)/t^4 over F_2 has two square roots in a row, then t in the
+    # denominator stops the descent
+    x = RatFunc(t ** 8 + one, t ** 4)
+    assert _pth_root_ratfunc(x) == RatFunc(t ** 4 + one, t * t)
+    assert _pth_root_ratfunc(RatFunc(t ** 4 + one, t * t)) == \
+        RatFunc(t * t + one, t)
+    assert _pth_root_ratfunc(RatFunc(t * t + one, t)) is None
 
 
 def test_find_large_factor_frozen():
