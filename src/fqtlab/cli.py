@@ -74,7 +74,15 @@ def _resolve_field(args) -> FiniteField:
     e = args.ext_degree if args.ext_degree is not None else 1
     modulus = None
     if args.modulus is not None:
-        modulus = tuple(json.loads(args.modulus))
+        try:
+            modulus = json.loads(args.modulus)
+        except ValueError:  # not JSON at all: refused below
+            pass
+        if not (isinstance(modulus, list)
+                and all(type(c) is int for c in modulus)):
+            raise ValueError("--modulus must be a JSON list of integers, "
+                             "got %s" % args.modulus)
+        modulus = tuple(modulus)
     return FiniteField(p, e, modulus)
 
 

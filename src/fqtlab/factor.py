@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .field import prime_factors
-from .poly import Poly, monic_polys_of_degree, poly_gcd
+from .poly import Modulus, Poly, monic_polys_of_degree, poly_gcd
 
 # Deterministic trial-division splitting is used while q^d stays below this.
 EDF_ENUM_LIMIT = 512
@@ -116,8 +116,9 @@ def is_irreducible(f: Poly) -> bool:
     t = Poly.gen(F)
     h = t % f
     checkpoints = {n // r for r in prime_factors(n)}
+    mod = Modulus(f)
     for k in range(1, n + 1):
-        h = h.powmod(F.q, f)
+        h = h.powmod(F.q, mod)
         if k in checkpoints:
             if poly_gcd(h - t, f).deg > 0:
                 return False
@@ -131,13 +132,16 @@ def distinct_degree_split(a: Poly) -> list[tuple[Poly, int]]:
     out = []
     f = a
     h = t % f
+    mod = None  # f prepared for powmod, built once per f
     d = 0
     while f.deg >= 1:
         d += 1
         if 2 * d > f.deg:
             out.append((f, f.deg))
             break
-        h = h.powmod(F.q, f)
+        if mod is None:
+            mod = Modulus(f)
+        h = h.powmod(F.q, mod)
         g = poly_gcd(f, h - t)
         if g.deg >= 1:
             out.append((g, d))
@@ -145,6 +149,7 @@ def distinct_degree_split(a: Poly) -> list[tuple[Poly, int]]:
             if f.deg < 1:
                 break
             h = h % f
+            mod = None
     return out
 
 
@@ -153,6 +158,7 @@ def _split_once(f: Poly, d: int, rng: random.Random) -> Poly:
     of degree d."""
     F = f.field
     q, p = F.q, F.p
+    mod = Modulus(f)
     while True:
         a = Poly.from_index(F, rng.randrange(1, q ** f.deg))
         g = poly_gcd(a, f)
@@ -167,7 +173,7 @@ def _split_once(f: Poly, d: int, rng: random.Random) -> Poly:
                 acc = acc + term
             g = poly_gcd(acc, f)
         else:
-            b = a.powmod((q ** d - 1) // 2, f)
+            b = a.powmod((q ** d - 1) // 2, mod)
             g = poly_gcd(b - Poly.one(F), f)
         if 0 < g.deg < f.deg:
             return g

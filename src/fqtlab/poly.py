@@ -13,23 +13,33 @@ enumeration in the package walks indices ascending.
 Arithmetic runs on kernel forms: a bit-packed int over GF(2) (bit i is the
 coefficient of t^i), the coefficient sequence otherwise.  One private layer
 picks the kernel by field kind: `_kmul` multiplies, `_krem` takes a
-remainder, `_newton_inverse` decides once per fixed modulus whether its
-divisions take their quotients from a Newton inverse, and `Poly._wrap` is
-the only way back to a Poly.  `Poly.__mul__`, `Poly.powmod`, `poly_gcd`
-(over GF(2) and extension fields), `CRTBasis.lift` and `RemainderTree` all
-go through it; `Poly.__divmod__` is the only path that returns a quotient.
-The results never depend on the kernel chosen.
+remainder, `_newton_inverse` is the one place that decides whether a
+division takes its quotient from a Newton inverse, and `Poly._wrap` is the
+only way back to a Poly.  `Poly.__mul__`, `Modulus`, `poly_gcd` (over GF(2)
+and extension fields), `CRTBasis.lift` and `RemainderTree` all go through
+it; `Poly.__divmod__` is the only path that returns a quotient.  The results
+never depend on the kernel chosen.
 
 GF(2) forms multiply and reduce by shifts and XOR at every length.  Other
 prime fields run loops on plain ints, reduced mod p once at the end; once
 len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
 (Kronecker substitution).  Once (quotient length)*deg(modulus) reaches
-_NEWTON_MIN_WORK, a division by a fixed modulus (powmod's, a remainder
-tree node's) takes its quotient from a Newton inverse of the reversed
-modulus, computed once.  Extension fields run schoolbook loops on the
-field's tables.  Sums and differences act coefficientwise on the codes: XOR
-over characteristic 2, plain ints mod p over other prime fields, the tables
-otherwise.
+_NEWTON_MIN_WORK, a division by a fixed modulus (a `Modulus`, a remainder
+tree node) takes its quotient from a Newton inverse of the reversed
+modulus, computed and packed once per modulus, and its remainder from one
+more product.  A single `divmod` computes an inverse of its own once both
+the quotient length and deg(divisor) reach _NEWTON_ONCE_MIN_LEN and their
+product reaches _NEWTON_ONCE_MIN_WORK; `%` and `//` go through `divmod`.
+Extension fields run schoolbook loops on the field's tables.  Sums and
+differences act coefficientwise on the codes: XOR over characteristic 2,
+plain ints mod p over other prime fields, the tables otherwise.
+
+`Modulus(P)` prepares P once for many reductions mod P, after NTL's
+zz_pXModulus: P's kernel form and, where `_newton_inverse` grants one, its
+Newton data.  `Poly.powmod` runs the one square-and-multiply loop on a
+Modulus; a caller raising many residues to powers mod one P (`factor`'s
+distinct-degree split, Rabin's test, equal-degree splitting) builds the
+Modulus once and passes it instead of P.
 
 `poly_gcd` runs all of Euclid on kernel forms and builds one Poly at the
 end; over odd p it packs each operand once into a Kronecker form with
@@ -63,10 +73,21 @@ NEG_INF = float("-inf")
 # terms, a division of (quotient length)*deg(b).
 # Kronecker multiply from _KRON_MIN_WORK term pairs on,
 _KRON_MIN_WORK = 100
-# and Newton division by a fixed modulus from _NEWTON_MIN_WORK, where the
-# inverse it computes once pays for itself at k = p <= 7, the exponent
-# factoring uses most in powmod (deg(modulus) about 23 to 28 there).
+# and Newton division by a fixed modulus from _NEWTON_MIN_WORK, where one
+# inverse pays for itself over a single powmod at k = p <= 7, the exponent
+# factoring uses most (deg(modulus) about 23 to 28 there).  Bounds of 200,
+# 100 and 56 ran the `radical` benchmark slower: many moduli serve only a
+# few reductions.
 _NEWTON_MIN_WORK = 640
+# A single division pays for a Newton inverse of its own only once both
+# the quotient length and deg(divisor) reach _NEWTON_ONCE_MIN_LEN and their
+# product _NEWTON_ONCE_MIN_WORK.  Timed on lengths 8 to 300 each: below
+# 1,000 term pairs Newton took 1.5-5x as long as the schoolbook loop; at
+# this rule's edge the two ran level (0.8-1.5x as fast, by p); from 10,000
+# on Newton ran 2-11x as fast, except against divisors of degree < 32 at
+# p = 2^31-1, where it stayed level.
+_NEWTON_ONCE_MIN_LEN = 32
+_NEWTON_ONCE_MIN_WORK = 3000
 
 
 # -- GF(2): one bit per coefficient ------------------------------------------
@@ -208,21 +229,26 @@ def _series_inverse(f, m: int, p: int) -> list:
     return g
 
 
-def _divmod_p(a, b, p: int, inverse=None) -> tuple[list, list]:
+def _divmod_p(a, b, p: int, newton=None) -> tuple[list, list]:
     """Quotient and remainder over F_p, p odd, len(a) >= len(b) > 0.
 
-    With `inverse` = 1/rev(b) mod t^m (or longer), m = len(a) - len(b) + 1
-    the quotient length, the quotient is one product (MCA section 9.1);
-    without it the schoolbook loop runs.
+    With `newton`, b's data from `_newton_inverse`, a quotient of at most
+    its k terms is one product and the remainder one more (MCA section
+    9.1); otherwise the schoolbook loop runs.
     """
     db = len(b) - 1
     m = len(a) - db
-    if inverse is not None:
-        # rev(a) = rev(q)*rev(b) mod t^m; r = a - q*b needs only its terms
-        # below t^db, which come from the low terms of q and b
-        quot = _kron_mul(a[::-1][:m], inverse[:m], p, m)[::-1]
-        low = _mul_p(quot[:db], b[:db], p)
-        return quot, [(x - y) % p for x, y in zip(a[:db], low)]
+    if newton is not None and m <= newton[1]:
+        s, k, inv, low = newton
+        # quotient term l is term k-1+l of (a div t^db) * rev(1/rev(b))
+        quot = _kron_slots((_kron_pack(a[db:], s) * inv >> 8 * s * (k - 1))
+                           .to_bytes(m * s, "little"), s, m, p)
+        # r = a - q*b needs only its terms below t^db, which come from the
+        # low terms of q and b; `low` holds -b mod p, so no slot goes
+        # negative
+        r = _kron_pack(quot[:db], s) * low + _kron_pack(a[:db], s)
+        r &= (1 << 8 * s * db) - 1
+        return quot, _kron_slots(r.to_bytes(db * s, "little"), s, db, p)
     inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     if not db:
         return [c * inv % p for c in a], []
@@ -296,26 +322,84 @@ def _kmul(a, b, F):
     return _mul_ext(a, b, F) if F.e > 1 else _mul_p(a, b, F.p)
 
 
-def _krem(a, b, F, inverse=None):
-    """a mod b on kernel forms over F, b nonzero.  `inverse` is b's from
-    `_newton_inverse`, long enough for the quotient, or None."""
+def _krem(a, b, F, newton=None):
+    """a mod b on kernel forms over F, b nonzero.  `newton` is b's data from
+    `_newton_inverse`, or None."""
     if F.q == 2:
         return _rem2(a, b)
     if len(a) < len(b):
         return a
-    r = _rem_ext(a, b, F) if F.e > 1 else _divmod_p(a, b, F.p, inverse)[1]
+    r = _rem_ext(a, b, F) if F.e > 1 else _divmod_p(a, b, F.p, newton)[1]
     while r and not r[-1]:
         r.pop()
     return r
 
 
-def _newton_inverse(m, k, F):
-    """1/rev(m) mod t^k over odd p, for dividing by the kernel form m with
-    quotients up to k terms long, if that work k*deg(m) reaches
-    _NEWTON_MIN_WORK; None otherwise."""
-    if F.e > 1 or F.p == 2 or k * (len(m) - 1) < _NEWTON_MIN_WORK:
+def _newton_inverse(m, k, F, once=False):
+    """The Newton data for dividing by the kernel form m over odd p, with
+    quotients up to k terms long, or None where the schoolbook loop is
+    faster: by a fixed modulus (`Modulus`, a `RemainderTree` node) once the
+    work k*deg(m) reaches _NEWTON_MIN_WORK, and for a single division
+    (`once`) by the _NEWTON_ONCE_* rule.
+
+    The data is (s, k, rev(1/rev(m) mod t^k), -(m mod t^deg m)), the last
+    two packed once in Kronecker form with slots of s bytes, wide enough
+    for both products of `_divmod_p`.
+    """
+    if F.e > 1 or F.p == 2:
         return None
-    return _series_inverse(m[::-1], k, F.p)
+    db = len(m) - 1
+    if once:
+        if (min(k, db) < _NEWTON_ONCE_MIN_LEN
+                or k * db < _NEWTON_ONCE_MIN_WORK):
+            return None
+    elif k * db < _NEWTON_MIN_WORK:
+        return None
+    p = F.p
+    s = _slot_bytes(max(k, db) + 1, p)
+    inverse = _series_inverse(m[::-1], k, p)
+    return (s, k, _kron_pack(inverse[::-1], s),
+            _kron_pack([-c % p for c in m[:db]], s))
+
+
+class Modulus:
+    """A nonzero modulus P prepared once for many reductions mod P.
+
+    It holds P's kernel form and, over odd p once deg P * (deg P - 1)
+    reaches _NEWTON_MIN_WORK, P's `_newton_inverse` for the quotients left
+    by a product of two residues, so every such reduction is two products
+    (after NTL's zz_pXModulus).  `Poly.powmod` runs on one: pass a Modulus
+    instead of P to share its set-up among many powers mod P.  Like Poly it
+    is immutable.
+    """
+
+    __slots__ = ("poly", "_m", "_newton")
+
+    def __init__(self, modulus: "Poly"):
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        self.poly = modulus
+        self._m = modulus._kernel()
+        # the product of two residues has a quotient of at most deg - 1 terms
+        self._newton = _newton_inverse(self._m, modulus.deg - 1, modulus.field)
+
+    def _reduce(self, a):
+        """a mod P on kernel forms."""
+        return _krem(a, self._m, self.poly.field, self._newton)
+
+    def _pow(self, x, k: int):
+        """x^k mod P on kernel forms, by square-and-multiply: one product
+        per set bit of k and one squaring per bit below the top one."""
+        F = self.poly.field
+        r = self._reduce(1 if F.q == 2 else (1,))
+        base = self._reduce(x)
+        while k:
+            if k & 1:
+                r = self._reduce(_kmul(r, base, F))
+            k >>= 1
+            if k:
+                base = self._reduce(_kmul(base, base, F))
+        return r
 
 
 class Poly:
@@ -552,7 +636,8 @@ class Poly:
             q = [0] * (len(a) - db)
             r = _rem_ext(a, bc, F, q)
         else:
-            q, r = _divmod_p(a, bc, F.p)
+            q, r = _divmod_p(a, bc, F.p,
+                             _newton_inverse(bc, len(a) - db, F, once=True))
         return Poly._wrap(F, q), Poly._from_list(F, r)
 
     def __floordiv__(self, other):
@@ -561,25 +646,14 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def powmod(self, k: int, modulus: "Poly") -> "Poly":
-        """self^k mod modulus by square-and-multiply on kernel forms."""
+    def powmod(self, k: int, modulus) -> "Poly":
+        """self^k mod modulus, a nonzero Poly or a `Modulus` built from one."""
         if k < 0:
             raise ValueError("negative exponent")
-        self._check_same_field(modulus)
-        if modulus.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        F, m = self.field, modulus._kernel()
-        # the product of two residues has a quotient of at most deg - 1 terms
-        inverse = _newton_inverse(m, modulus.deg - 1, F)
-        r = _krem(1 if F.q == 2 else (1,), m, F)
-        base = _krem(self._kernel(), m, F)
-        while k:
-            if k & 1:
-                r = _krem(_kmul(r, base, F), m, F, inverse)
-            k >>= 1
-            if k:
-                base = _krem(_kmul(base, base, F), m, F, inverse)
-        return Poly._wrap(F, r)
+        if not isinstance(modulus, Modulus):
+            modulus = Modulus(modulus)
+        self._check_same_field(modulus.poly)
+        return Poly._wrap(self.field, modulus._pow(self._kernel(), k))
 
     def shifted(self, k: int) -> "Poly":
         """self * t^k."""
@@ -947,8 +1021,8 @@ class RemainderTree:
             raise ValueError("mixed-field polynomial operation")
         rems = [x._kernel()]
         for level in reversed(self._levels):
-            rems = [_krem(rems[i >> 1], b, F, inverse)
-                    for i, (b, inverse) in enumerate(level)]
+            rems = [_krem(rems[i >> 1], b, F, newton)
+                    for i, (b, newton) in enumerate(level)]
         if F.q == 2:
             return rems  # over GF(2) the packed int is the index
         q = F.q

@@ -171,7 +171,9 @@ def orbit_reduce(solutions, spec: GroupSpec, seed: int = 0) -> OrbitReport:
     for pair in solutions:
         x, y = pair.x.value, pair.y.value
         k = 0
-        while True:
+        # a constant is always a p-th power: a pair of constants is its own
+        # base
+        while not (x.is_constant() and y.is_constant()):
             rx = _pth_root_ratfunc(x)
             if rx is None:
                 break

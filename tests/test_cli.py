@@ -243,6 +243,27 @@ def test_q_large_prime_and_limits(capsys):
         assert msg in err
 
 
+@pytest.mark.parametrize("modulus", ["5", "[1,null,1]", '"ab"', "[1.5,1,1]",
+                                     "[true,1,1]", "t^2+t+1"])
+def test_modulus_must_be_a_list_of_ints(capsys, modulus):
+    code, out, err = run_cli(capsys, "dn", "--p", "2", "--ext-degree", "2",
+                             "--modulus", modulus, "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == ("fqtlab dn: error: --modulus must be a JSON list of "
+                   "integers, got %s\n" % modulus)
+
+
+def test_modulus_checks_keep_their_messages(capsys):
+    code, out, err = run_cli(capsys, "dn", "--p", "2", "--ext-degree", "2",
+                             "--modulus", "[]", "--n", "1")
+    assert (code, out) == (1, "")
+    assert err == "fqtlab dn: error: modulus must be monic of degree e\n"
+    code, out, _ = run_cli(capsys, "dn", "--p", "2", "--ext-degree", "2",
+                           "--modulus", "[1,1,1]", "--n", "1")
+    assert code == 0
+    assert envelope(out)["result"]["d_n"] == 4
+
+
 def test_q_conflicts_with_p(capsys):
     code, _, err = run_cli(capsys, "dn", "--q", "4", "--p", "2", "--n", "2")
     assert code == 1

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fqtlab import (FiniteField, Poly, enumerate_monic_irreducibles, factor,
                     is_irreducible, monic_polys_of_degree, pth_root, radical,
                     squarefree_decomposition)
+from fqtlab import poly as poly_module
+from fqtlab.factor import distinct_degree_split
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -159,3 +161,59 @@ def test_factor_product_of_all_quadratics():
         prod = prod * q
     fl = factor(prod)
     assert fl.factors == tuple((q, 1) for q in sorted(quads, key=Poly.sort_key))
+
+
+def _random_irreducible(field, rng, d):
+    while True:
+        f = Poly(field, [rng.randrange(field.q) for _ in range(d)] + [1])
+        if is_irreducible(f):
+            return f
+
+
+def _count_series_inverses(monkeypatch):
+    calls = []
+    series_inverse = poly_module._series_inverse
+
+    def counting(*args):
+        calls.append(1)
+        return series_inverse(*args)
+
+    monkeypatch.setattr(poly_module, "_series_inverse", counting)
+    return calls
+
+
+def test_is_irreducible_builds_one_newton_inverse(monkeypatch):
+    # one Modulus per call: its Newton inverse serves every powmod step
+    # (40 of them for an irreducible f of degree 40)
+    rng = random.Random(40)
+    f = _random_irreducible(F3, rng, 40)
+    g = Poly(F3, [rng.randrange(3) for _ in range(40)] + [1])
+    calls = _count_series_inverses(monkeypatch)
+    assert is_irreducible(f)
+    assert len(calls) == 1
+    calls.clear()
+    is_irreducible(g)
+    assert len(calls) == 1
+
+
+def test_distinct_degree_split_builds_one_inverse_per_modulus(monkeypatch):
+    # a = (two linear) * (one cubic) * I30 * I31, degree 66, over F_3.  The
+    # split runs powmod on three moduli, each of degree >= 26, so each gets
+    # a Newton inverse: a at d = 1; a/(linears), degree 64, at d = 2, 3;
+    # that over the cubic, degree 61, at d = 4..30.  The divisions as f
+    # shrinks stay below the one-off Newton rule (quotient lengths 65, 62,
+    # 32 by divisors of degree 2, 3, 30), so 3 inverses in all, where one
+    # per powmod step made 30.
+    rng = random.Random(66)
+    parts = [Poly(F3, [0, 1]), Poly(F3, [1, 1]),
+             _random_irreducible(F3, rng, 3),
+             _random_irreducible(F3, rng, 30),
+             _random_irreducible(F3, rng, 31)]
+    a = Poly.one(F3)
+    for g in parts:
+        a = a * g
+    calls = _count_series_inverses(monkeypatch)
+    split = distinct_degree_split(a)
+    assert [d for _, d in split] == [1, 3, 30, 31]
+    assert split[0][0] == parts[0] * parts[1]
+    assert len(calls) == 3

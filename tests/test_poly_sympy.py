@@ -3,20 +3,23 @@
 galoistools writes a polynomial over F_p as a list of ints, highest degree
 first, and is an independent implementation: schoolbook loops throughout.
 Input lengths reach past every size crossover in `fqtlab.poly`, so each
-odd-p kernel (schoolbook, Kronecker, Newton division in `powmod`) meets the
-oracle on both sides of its threshold; GF(2) runs bit-packed at every
+odd-p kernel (schoolbook, Kronecker, Newton division in `powmod` and in a
+single long division) meets the oracle on both sides of its threshold; GF(2) runs bit-packed at every
 length.  The large prime 2^31 - 1 makes the Kronecker slots wider than
 eight bytes.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtlab import FiniteField, Poly, factor, is_irreducible, poly_xgcd
 from fqtlab.factor import squarefree_decomposition
-from fqtlab.poly import _KRON_MIN_WORK, _NEWTON_MIN_WORK, RemainderTree
+from fqtlab.poly import (_KRON_MIN_WORK, _NEWTON_MIN_WORK,
+                         _NEWTON_ONCE_MIN_LEN, _NEWTON_ONCE_MIN_WORK, Modulus,
+                         RemainderTree, _newton_inverse)
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -99,6 +102,53 @@ def test_powmod_matches_gf_pow_mod(inst, k):
     F, a, b = inst
     assert to_gf(a.powmod(k, b)) == galoistools.gf_pow_mod(
         to_gf(a), k, to_gf(b), F.p, ZZ)
+
+
+NEWTON_PRIMES = [3, 7, 2**31 - 1]
+L, W = _NEWTON_ONCE_MIN_LEN, _NEWTON_ONCE_MIN_WORK
+# (quotient length, deg(divisor)) on both sides of each bound of the one-off
+# Newton rule: too short a quotient, too short a divisor, too little work,
+# then just enough of each
+ONCE_SHAPES = [(L - 1, 4 * L), (4 * L, L - 1), (L, W // L - 1),
+               (W // L - 1, L), (L, -(-W // L)), (-(-W // L), L),
+               (3 * L, 3 * L)]
+
+
+@pytest.mark.parametrize("p", NEWTON_PRIMES)
+@pytest.mark.parametrize("k, db", ONCE_SHAPES)
+def test_divmod_matches_gf_div_around_the_newton_rule(p, k, db):
+    F = FIELDS[p]
+    rng = random.Random(k * db + p)
+    b = Poly(F, [rng.randrange(p) for _ in range(db)] + [rng.randrange(1, p)])
+    once = min(k, db) >= L and k * db >= W
+    assert (_newton_inverse(b.coeffs, k, F, once=True) is not None) == once
+    for _ in range(3):
+        a = Poly(F, [rng.randrange(p) for _ in range(db + k - 1)]
+                 + [rng.randrange(1, p)])
+        q, r = divmod(a, b)
+        assert [to_gf(q), to_gf(r)] == list(
+            galoistools.gf_div(to_gf(a), to_gf(b), p, ZZ))
+
+
+# a Modulus keeps a Newton inverse once deg*(deg - 1) reaches
+# _NEWTON_MIN_WORK: degree 26 at the present bound, 25 just below it
+NEWTON_DEG = next(d for d in range(2, 100) if d * (d - 1) >= _NEWTON_MIN_WORK)
+
+
+@pytest.mark.parametrize("p", NEWTON_PRIMES)
+@pytest.mark.parametrize("deg", [3, NEWTON_DEG - 1, NEWTON_DEG, 45])
+def test_shared_modulus_powmod_matches_gf_pow_mod(p, deg):
+    F = FIELDS[p]
+    rng = random.Random(deg * p)
+    b = Poly(F, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+    mod = Modulus(b)
+    assert (mod._newton is not None) == (deg >= NEWTON_DEG)
+    # bases shorter than, as long as and longer than twice the modulus
+    for n in (1, deg // 2, deg + 1, 2 * deg + 5):
+        a = Poly(F, [rng.randrange(p) for _ in range(n)])
+        for k in (0, 1, 2, p, 97, 1000):
+            assert to_gf(a.powmod(k, mod)) == galoistools.gf_pow_mod(
+                to_gf(a), k, to_gf(b), p, ZZ)
 
 
 @given(pair())

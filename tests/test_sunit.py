@@ -1,5 +1,7 @@
 """Unit-equation solutions, Frobenius orbit collapse, large-factor scans."""
 
+import signal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,32 @@ def test_orbit_reduce_squaring_chain():
     assert rep.rank == 2
     assert rep.bound == 2 ** 4 - 1
     assert rep.ok
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+def test_orbit_reduce_stops_at_a_constant_pair():
+    # a constant always has a p-th root: the descent must stop there, not
+    # loop; SIGALRM ends the test if it does not
+    spec = GroupSpec(generators=(Poly.gen(F3),))
+    two = RatFunc.from_poly(Poly.constant(F3, 2))
+    elem = GroupElem(exponents=(0,), unit=2, value=two)
+    pair = SolutionPair(x=elem, y=elem)  # 2 + 2 = 1 over F_3
+    assert pair.check()
+
+    def timeout(signum, frame):
+        raise TimeoutError("orbit_reduce did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        rep = orbit_reduce([pair], spec)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(rep.orbits) == 1
+    orb = rep.orbits[0]
+    assert (orb.base_x, orb.base_y) == (two, two)
+    assert orb.members == ((0, pair),)
 
 
 def test_orbit_reduce_full_box():
