@@ -21,7 +21,8 @@ from . import counterexample, deltalab, relations, sunit
 from .errors import (DEFAULT_DEGREE_BUDGET as DEGREE_BUDGET,
                      DEFAULT_ENUM_BUDGET as ENUM_BUDGET,
                      DEFAULT_MATRIX_BUDGET as MATRIX_BUDGET,
-                     BudgetExceeded, ExactDivisionError, FqtError)
+                     BudgetExceeded, ExactDivisionError, FqtError,
+                     power_exceeds)
 from .field import FiniteField, is_prime
 from .functable import (FuncTable, field_from_obj, field_to_obj,
                         growth_profile, verify_p3)
@@ -149,6 +150,10 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
 def _parse_gens(field, text: str, budget: int) -> tuple[Poly, ...]:
     if text.lstrip().startswith("["):
         literals = json.loads(text)
+        if not (isinstance(literals, list)
+                and all(isinstance(lit, str) for lit in literals)):
+            raise ValueError("--gens must be a JSON list of strings, got %s"
+                             % text)
     else:
         literals = text.split(",")
     return tuple(parse_poly(field, lit, budget) for lit in literals)
@@ -190,9 +195,10 @@ def _ansatz_from_obj(obj) -> relations.LinearAnsatz:
 
 def _cmd_irreducibles(args, budgets):
     field = _resolve_field(args)
-    if field.q ** args.n > budgets["enumeration"]:
+    if power_exceeds(field.q, args.n, budgets["enumeration"]):
         raise BudgetExceeded("enumeration of degree %d over q=%d exceeds "
-                             "budget" % (args.n, field.q))
+                             "budget %d"
+                             % (args.n, field.q, budgets["enumeration"]))
     polys = enumerate_monic_irreducibles(field, args.n)
     expected = count_irreducibles(field.q, args.n)
     return {"q": field.q, "degree": args.n, "count": len(polys),
@@ -203,6 +209,9 @@ def _cmd_irreducibles(args, budgets):
 def _cmd_dn(args, budgets):
     field = _resolve_field(args)
     q, n = field.q, args.n
+    if n > budgets["degree"]:
+        raise BudgetExceeded("n=%d exceeds the degree budget %d"
+                             % (n, budgets["degree"]))
     d_n = degree_sum(q, n)
     lower, upper = q ** n, 2 * q ** n
     ok = lower <= d_n < upper
@@ -236,7 +245,11 @@ def _cmd_verify_p3(args, budgets):
 
 def _cmd_growth(args, budgets):
     table = _load_table(args.table)
-    eps = Fraction(args.epsilon)
+    try:
+        eps = Fraction(args.epsilon)
+    except ZeroDivisionError:
+        raise ValueError("--epsilon %s has a zero denominator"
+                         % args.epsilon) from None
     return growth_profile(table, epsilon=eps), True, False
 
 
@@ -329,19 +342,24 @@ def _cmd_delta_lab(args, budgets):
     rows = []
     skipped = 0
     if args.sweep:
-        pairs = []
-        for n in range(1, args.n + 1):
-            m_hi = n - 1 if args.m is None else min(args.m, n - 1)
-            pairs.extend((m, n) for m in range(m_hi + 1))
+        if args.n > budgets["degree"]:
+            raise BudgetExceeded("sweep to n=%d exceeds the degree budget %d"
+                                 % (args.n, budgets["degree"]))
+        m_cap = args.n if args.m is None else args.m
+        sweep = [(range(min(m_cap, n - 1) + 1), n)
+                 for n in range(1, args.n + 1)]
     else:
-        m = args.m if args.m is not None else args.n - 1
-        pairs = [(m, args.n)]
-    for m, n in pairs:
-        spec = deltalab.DeltaSpec(u=u, m=m, n=n)
-        if spec.product_degree > budgets["degree"]:
-            skipped += 1
-            continue
-        rows.append(deltalab.count_report(spec, budget=budgets["degree"]))
+        sweep = [([args.m if args.m is not None else args.n - 1], args.n)]
+    for ms, n in sweep:
+        # s0(m, n), so the product degree, grows with m: past the first m
+        # over the budget every m is skipped
+        for i, m in enumerate(ms):
+            spec = deltalab.DeltaSpec(u=u, m=m, n=n)
+            if spec.product_degree > budgets["degree"]:
+                skipped += len(ms) - i
+                break
+            rows.append(deltalab.count_report(spec,
+                                              budget=budgets["degree"]))
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -397,7 +415,8 @@ def _cmd_pipeline(args, budgets):
     if args.caps:
         a, b, c, d = _parse_ints(args.caps, 4, "--caps")
         caps = relations.LinearCaps(a, b, c, d)
-    report = relations.run_pipeline(table, bounds, u, args.N, caps=caps)
+    report = relations.run_pipeline(table, bounds, u, args.N, caps=caps,
+                                    budget=budgets["matrix"])
     return report, report.ok, True
 
 
@@ -501,20 +520,16 @@ def main(argv=None) -> int:
     budgets = _budgets(args)
     try:
         result, ok, verifies = _HANDLERS[args.command](args, budgets)
-    except FqtError as exc:
+        if not isinstance(result, str):  # csv comes preformatted
+            envelope = {"command": args.command,
+                        "config": _jsonable(_config_obj(args, budgets)),
+                        "result": _jsonable(result),
+                        "ok": ok}
+            result = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    except (FqtError, ValueError, KeyError, OSError) as exc:
         print("fqtlab %s: error: %s" % (args.command, exc), file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print("fqtlab %s: error: %s" % (args.command, exc), file=sys.stderr)
-        return 1
-    if isinstance(result, str):  # preformatted (csv)
-        _emit(result, args.out)
-    else:
-        envelope = {"command": args.command,
-                    "config": _jsonable(_config_obj(args, budgets)),
-                    "result": _jsonable(result),
-                    "ok": ok}
-        _emit(json.dumps(envelope, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(result, args.out)
     if ok or not verifies:
         return 0
     return 2

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded
+from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded, power_exceeds
 from .functable import FuncTable, ResidueMap, verify_p3
 from .irreducibles import enumerate_monic_irreducibles, irreducible_product
 from .poly import CRTBasis, Poly, crt, polys_up_to
@@ -63,10 +63,10 @@ def build_counterexample(field, D: int,
                          ) -> tuple[FuncTable, ConstructionTrace]:
     if D < 1:
         raise ValueError("D must be >= 1")
-    if field.q ** D > budget:
+    if power_exceeds(field.q, D, budget):
         raise BudgetExceeded(
-            "construction at D=%d materializes degree ~%d > budget %d"
-            % (D, 2 * field.q ** D, budget))
+            "construction at D=%d materializes degree ~2*q^D > budget %d"
+            % (D, budget))
     values: dict[Poly, Poly] = {}
     zero = Poly.zero(field)
     for a in polys_up_to(field, 0):

@@ -15,6 +15,15 @@ DEFAULT_ENUM_BUDGET = 1 << 20  # entries enumerated (table domains, solutions)
 DEFAULT_MATRIX_BUDGET = 1 << 22  # linear-algebra matrix entries
 
 
+def power_exceeds(q: int, n: int, budget: int) -> bool:
+    """Whether q^n > budget, for q >= 2.
+
+    q^n >= 2^n > budget once n >= budget.bit_length(), so a huge n is
+    answered without computing the power.
+    """
+    return n >= budget.bit_length() or q ** n > budget
+
+
 class PolyParseError(FqtError, ValueError):
     """A polynomial literal could not be parsed."""
 

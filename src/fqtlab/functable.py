@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DEFAULT_DEGREE_BUDGET, DEFAULT_ENUM_BUDGET,
-                     BudgetExceeded, TableDomainError)
+                     BudgetExceeded, TableDomainError, power_exceeds)
 from .field import FiniteField
 from .irreducibles import degree_sum, enumerate_monic_irreducibles
 from .poly import (NEG_INF, Poly, RemainderTree, _horner,
@@ -89,9 +89,9 @@ class FuncTable:
 
     @classmethod
     def from_function(cls, field, D, fn, budget: int = DEFAULT_ENUM_BUDGET):
-        size = field.q ** (D + 1)
-        if size > budget:
-            raise BudgetExceeded("domain size %d exceeds budget %d" % (size, budget))
+        if power_exceeds(field.q, D + 1, budget):
+            raise BudgetExceeded("domain of degree <= %d exceeds budget %d"
+                                 % (D, budget))
         return cls(field, D, {a: fn(a) for a in polys_up_to(field, D)})
 
     @classmethod

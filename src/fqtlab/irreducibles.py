@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded
+from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded, power_exceeds
 from .factor import is_irreducible
 from .field import divisors, prime_factors
 from .poly import Poly, monic_polys_of_degree
@@ -65,10 +65,10 @@ def product_identity_check(field, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     q = field.q
-    if q ** n > budget:
+    if power_exceeds(q, n, budget):
         raise BudgetExceeded(
-            "identity at n=%d materializes degree %d > budget %d"
-            % (n, q ** n, budget))
+            "identity at n=%d materializes degree q^n > budget %d"
+            % (n, budget))
     lhs = Poly.one(field)
     for d in divisors(n):
         for p in enumerate_monic_irreducibles(field, d):

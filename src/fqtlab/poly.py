@@ -12,34 +12,34 @@ enumeration in the package walks indices ascending.
 
 Arithmetic runs on kernel forms: a bit-packed int over GF(2) (bit i is the
 coefficient of t^i), the coefficient sequence otherwise.  One private layer
-picks the kernel by field kind: `_kmul` multiplies, `_krem` takes a
-remainder, `_newton_inverse` is the one place that decides whether a
-division takes its quotient from a Newton inverse, and `Poly._wrap` is the
-only way back to a Poly.  `Poly.__mul__`, `Modulus`, `poly_gcd` (over GF(2)
-and extension fields), `CRTBasis.lift` and `RemainderTree` all go through
-it; `Poly.__divmod__` is the only path that returns a quotient.  The results
-never depend on the kernel chosen.
+picks the kernel by field kind, one routine per job: `_kmul` multiplies,
+`_krem` takes a remainder, `_kpow` is the one square-and-multiply loop,
+`_kindex` the one index loop, `_newton_inverse` the one place that decides
+whether a division takes its quotient from a Newton inverse, and
+`Poly._wrap` the only way back to a Poly.  `Poly.__mul__`, `**`, `scaled`,
+`Modulus`, `poly_gcd` (over GF(2) and extension fields), `CRTBasis.lift` and
+`RemainderTree` all go through it; `Poly.__divmod__` is the only path that
+returns a quotient.  The results never depend on the kernel chosen.
 
 GF(2) forms multiply and reduce by shifts and XOR at every length.  Other
 prime fields run loops on plain ints, reduced mod p once at the end; once
 len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
 (Kronecker substitution).  Once (quotient length)*deg(modulus) reaches
-_NEWTON_MIN_WORK, a division by a fixed modulus (a `Modulus`, a remainder
-tree node) takes its quotient from a Newton inverse of the reversed
-modulus, computed and packed once per modulus, and its remainder from one
-more product.  A single `divmod` computes an inverse of its own once both
-the quotient length and deg(divisor) reach _NEWTON_ONCE_MIN_LEN and their
-product reaches _NEWTON_ONCE_MIN_WORK; `%` and `//` go through `divmod`.
-Extension fields run schoolbook loops on the field's tables.  Sums and
-differences act coefficientwise on the codes: XOR over characteristic 2,
-plain ints mod p over other prime fields, the tables otherwise.
+_NEWTON_MIN_WORK, a division by a fixed modulus (a `Modulus`) takes its
+quotient from a Newton inverse of the reversed modulus, computed and packed
+once per modulus, and its remainder from one more product.  A single
+`divmod` computes an inverse of its own once both the quotient length and
+deg(divisor) reach _NEWTON_ONCE_MIN_LEN and their product reaches
+_NEWTON_ONCE_MIN_WORK; `%` and `//` go through `divmod`.  Extension fields
+run schoolbook loops on the field's tables.  Sums act coefficientwise on
+the codes: XOR over characteristic 2, plain ints mod p over other prime
+fields, the tables otherwise; a difference is a sum with the negation.
 
-`Modulus(P)` prepares P once for many reductions mod P, after NTL's
-zz_pXModulus: P's kernel form and, where `_newton_inverse` grants one, its
-Newton data.  `Poly.powmod` runs the one square-and-multiply loop on a
-Modulus; a caller raising many residues to powers mod one P (`factor`'s
-distinct-degree split, Rabin's test, equal-degree splitting) builds the
-Modulus once and passes it instead of P.
+`Modulus(P, k)` is the one prepared modulus, after NTL's zz_pXModulus:
+`Poly.powmod` runs `_kpow` on one, `CRTBasis` keeps one per modulus and
+`RemainderTree` one per node.  A caller raising many residues to powers mod
+one P (`factor`'s distinct-degree split, Rabin's test, equal-degree
+splitting) builds it once and passes it instead of P.
 
 `poly_gcd` runs all of Euclid on kernel forms and builds one Poly at the
 end; over odd p it packs each operand once into a Kronecker form with
@@ -50,8 +50,8 @@ into one int once per basis, with a block of 2e-1 slots per coefficient of
 t, and a lift sums the products of the short c_i with those ints and
 unpacks the sum once.  `RemainderTree` reduces one polynomial mod every
 modulus of a fixed list at once: it descends the subproduct tree of the
-moduli with `_krem`, so the division work of all moduli is shared by one
-descent.
+moduli, one `Modulus` per node, so the division work of all moduli is
+shared by one descent.
 """
 
 from __future__ import annotations
@@ -338,9 +338,9 @@ def _krem(a, b, F, newton=None):
 def _newton_inverse(m, k, F, once=False):
     """The Newton data for dividing by the kernel form m over odd p, with
     quotients up to k terms long, or None where the schoolbook loop is
-    faster: by a fixed modulus (`Modulus`, a `RemainderTree` node) once the
-    work k*deg(m) reaches _NEWTON_MIN_WORK, and for a single division
-    (`once`) by the _NEWTON_ONCE_* rule.
+    faster: by a fixed modulus (a `Modulus`) once the work k*deg(m)
+    reaches _NEWTON_MIN_WORK, and for a single division (`once`) by the
+    _NEWTON_ONCE_* rule.
 
     The data is (s, k, rev(1/rev(m) mod t^k), -(m mod t^deg m)), the last
     two packed once in Kronecker form with slots of s bytes, wide enough
@@ -362,44 +362,62 @@ def _newton_inverse(m, k, F, once=False):
             _kron_pack([-c % p for c in m[:db]], s))
 
 
+def _kpow(x, k: int, F, reduce=lambda a: a):
+    """x^k on kernel forms, by square-and-multiply: one product per set bit
+    of k and one squaring per bit below the top one, each passed through
+    `reduce`."""
+    r = 1 if F.q == 2 else (1,)
+    while k:
+        if k & 1:
+            r = reduce(_kmul(r, x, F))
+        k >>= 1
+        if k:
+            x = reduce(_kmul(x, x, F))
+    return r
+
+
+def _kindex(x, F) -> int:
+    """The index of a kernel form: over GF(2) the packed int itself."""
+    if F.q == 2:
+        return x
+    q = F.q
+    k = 0
+    for c in reversed(x):
+        k = k * q + c
+    return k
+
+
 class Modulus:
     """A nonzero modulus P prepared once for many reductions mod P.
 
-    It holds P's kernel form and, over odd p once deg P * (deg P - 1)
-    reaches _NEWTON_MIN_WORK, P's `_newton_inverse` for the quotients left
-    by a product of two residues, so every such reduction is two products
-    (after NTL's zz_pXModulus).  `Poly.powmod` runs on one: pass a Modulus
-    instead of P to share its set-up among many powers mod P.  Like Poly it
-    is immutable.
+    It holds P's kernel form and, over odd p once k * deg P reaches
+    _NEWTON_MIN_WORK, P's `_newton_inverse` for quotients of up to k terms,
+    so every such reduction is two products (after NTL's zz_pXModulus).
+    k defaults to deg P - 1, the longest quotient a product of two residues
+    leaves.  `Poly.powmod` runs on one: pass a Modulus instead of P to share
+    its set-up among many powers mod P.  `CRTBasis` keeps one per modulus
+    and `RemainderTree` one per node.  Like Poly it is immutable.
     """
 
     __slots__ = ("poly", "_m", "_newton")
 
-    def __init__(self, modulus: "Poly"):
+    def __init__(self, modulus: "Poly", k: int | None = None):
         if modulus.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self.poly = modulus
         self._m = modulus._kernel()
-        # the product of two residues has a quotient of at most deg - 1 terms
-        self._newton = _newton_inverse(self._m, modulus.deg - 1, modulus.field)
+        self._newton = _newton_inverse(
+            self._m, modulus.deg - 1 if k is None else k, modulus.field)
 
     def _reduce(self, a):
         """a mod P on kernel forms."""
         return _krem(a, self._m, self.poly.field, self._newton)
 
     def _pow(self, x, k: int):
-        """x^k mod P on kernel forms, by square-and-multiply: one product
-        per set bit of k and one squaring per bit below the top one."""
-        F = self.poly.field
-        r = self._reduce(1 if F.q == 2 else (1,))
-        base = self._reduce(x)
-        while k:
-            if k & 1:
-                r = self._reduce(_kmul(r, base, F))
-            k >>= 1
-            if k:
-                base = self._reduce(_kmul(base, base, F))
-        return r
+        """x^k mod P on kernel forms; the last reduction makes a unit P
+        give 0 at k = 0."""
+        reduce = self._reduce
+        return reduce(_kpow(reduce(x), k, self.poly.field, reduce))
 
 
 class Poly:
@@ -467,10 +485,7 @@ class Poly:
         return cls._make(field, tuple(cs))
 
     def index(self) -> int:
-        k = 0
-        for c in reversed(self.coeffs):
-            k = k * self.field.q + c
-        return k
+        return _kindex(self._kernel(), self.field)
 
     # -- basic queries ----------------------------------------------------------
 
@@ -586,21 +601,7 @@ class Poly:
         return Poly._make(F, tuple(neg[c] for c in self.coeffs))
 
     def __sub__(self, other):
-        if self.field.p == 2:
-            return self + other
-        self._check_same_field(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a += (0,) * (len(b) - len(a))
-        if F.e == 1:
-            p = F.p
-            out = [(x - y) % p for x, y in zip(a, b)]
-        else:
-            add, neg = F._add, F._neg
-            out = [add[x][neg[y]] for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        return Poly._from_list(F, out)
+        return self + -other
 
     def __mul__(self, other):
         self._check_same_field(other)
@@ -610,15 +611,8 @@ class Poly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        r = Poly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                r = r * base
-            k >>= 1
-            if k:
-                base = base * base
-        return r
+        F = self.field
+        return Poly._wrap(F, _kpow(self._kernel(), k, F))
 
     def __divmod__(self, other):
         self._check_same_field(other)
@@ -682,17 +676,16 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero() or self.coeffs[-1] == 1:
             return self
-        F = self.field
-        inv = F.inv(self.coeffs[-1])
-        return Poly._make(F, tuple(F.mul(c, inv) for c in self.coeffs))
+        return self.scaled(self.field.inv(self.coeffs[-1]))
 
     def scaled(self, c: int) -> "Poly":
         F = self.field
+        # _kmul by (0,) would leave the zeros in
         if c == 0:
             return Poly.zero(F)
         if c == 1:
             return self
-        return Poly._make(F, tuple(F.mul(a, c) for a in self.coeffs))
+        return Poly._wrap(F, _kmul(self._kernel(), (c,), F))
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
@@ -903,12 +896,12 @@ class CRTBasis:
     """Chinese-remainder data for one list of pairwise coprime moduli P_i.
 
     Built once, lifted many times: the constructor checks coprimality and
-    stores, for each P_i, u_i = C_i^(-1) mod P_i and the cofactor
-    C_i = M/P_i (M = prod P_i), packed once into the Kronecker form above.
-    `lift` takes each short c_i = r_i*u_i mod P_i on kernel forms (`_kmul`,
-    `_krem`), adds c_i*C_i into one packed int and unpacks that once: no
-    Poly is built per modulus and no field method is called per
-    coefficient.  An odd-p slot of the sum adds at most
+    stores, for each P_i, its `Modulus`, u_i = C_i^(-1) mod P_i and the
+    cofactor C_i = M/P_i (M = prod P_i), packed once into the Kronecker form
+    above.  `lift` takes each short c_i = r_i*u_i mod P_i on kernel forms
+    (`_kmul`, `_krem` with the Modulus's data), adds c_i*C_i into one packed int and
+    unpacks that once: no Poly is built per modulus and no field method is
+    called per coefficient.  An odd-p slot of the sum adds at most
     deg M * e products of two coordinates (c_i has deg P_i terms, and a
     slot pairs up at most e coordinates), so slots sized for that bound
     never carry.
@@ -934,7 +927,7 @@ class CRTBasis:
             cof = total // m
             # a unit modulus gets u = 0: every residue is congruent mod it
             _, u, _ = poly_xgcd(cof % m, m)
-            terms.append((m._kernel(), u._kernel(),
+            terms.append((Modulus(m), u._kernel(),
                           _blocks_pack(cof._kernel(), F, s)))
         self.modulus = total
         self._terms = tuple(terms)
@@ -954,7 +947,8 @@ class CRTBasis:
         for r, (m, u, cof) in zip(residues, self._terms):
             if r.field is not F and r.field != F:
                 raise ValueError("mixed-field polynomial operation")
-            c = _blocks_pack(_krem(_kmul(r._kernel(), u, F), m, F), F, s)
+            c = _blocks_pack(_krem(_kmul(r._kernel(), u, F), m._m, F,
+                                   m._newton), F, s)
             if c:
                 acc = acc ^ _mul2(c, cof) if F.p == 2 else acc + c * cof
         return Poly._from_list(
@@ -982,11 +976,11 @@ class RemainderTree:
     root, then each remainder mod the children of its node, down to the
     leaves (MCA section 10.1).  A division is skipped where the remainder
     already has lower degree than the node, so short inputs cost little.
-    Each node is stored in kernel form with its `_newton_inverse`: over odd
-    p a non-root node whose division work k*deg reaches _NEWTON_MIN_WORK
-    keeps the Newton inverse of its reversal, built once and shared by
-    every x reduced.  Timed on the residue map of the (q=3, D=5)
-    counterexample, the inverses cut its build from about 2.3 s to 1.5 s,
+    Each node is a `Modulus` for the longest quotient k its parent's
+    remainder leaves: over odd p a non-root node whose division work k*deg
+    reaches _NEWTON_MIN_WORK keeps the Newton inverse of its reversal, built
+    once and shared by every x reduced.  Timed on the residue map of the
+    (q=3, D=5) counterexample, the inverses cut its build from about 2.3 s to 1.5 s,
     with any threshold from 100 to 3000 alike; at D=4 they save about 2 %
     of the `construct` benchmark's wall time.
     """
@@ -995,23 +989,19 @@ class RemainderTree:
 
     def __init__(self, moduli):
         moduli = _nonzero_moduli(moduli)
-        F = self.field = moduli[0].field
+        self.field = moduli[0].field
         levels = [moduli]
         while len(levels[-1]) > 1:
             below = levels[-1]
             levels.append([below[i] * below[i + 1] if i + 1 < len(below)
                            else below[i] for i in range(0, len(below), 2)])
-        self._levels = []
-        for j, level in enumerate(levels):
-            nodes = []
-            for i, m in enumerate(level):
-                # a remainder mod the parent leaves a quotient of length at
-                # most k; the root takes x of any length and keeps none
-                k = (levels[j + 1][i >> 1].deg - m.deg
+        # a remainder mod the parent leaves a quotient of at most k terms;
+        # the root takes x of any length and keeps none
+        self._levels = [
+            [Modulus(m, levels[j + 1][i >> 1].deg - m.deg
                      if j + 1 < len(levels) else 0)
-                b = m._kernel()
-                nodes.append((b, _newton_inverse(b, k, F)))
-            self._levels.append(nodes)
+             for i, m in enumerate(level)]
+            for j, level in enumerate(levels)]
 
     def indices(self, x: Poly) -> list:
         """[(x mod P_i).index() for each modulus P_i], in the order given,
@@ -1021,18 +1011,10 @@ class RemainderTree:
             raise ValueError("mixed-field polynomial operation")
         rems = [x._kernel()]
         for level in reversed(self._levels):
-            rems = [_krem(rems[i >> 1], b, F, newton)
-                    for i, (b, newton) in enumerate(level)]
-        if F.q == 2:
-            return rems  # over GF(2) the packed int is the index
-        q = F.q
-        out = []
-        for r in rems:
-            k = 0
-            for c in reversed(r):
-                k = k * q + c
-            out.append(k)
-        return out
+            rems = [_krem(rems[i >> 1], node._m, F, node._newton)
+                    for i, node in enumerate(level)]
+        # over GF(2) the remainders are their own indices: no call per leaf
+        return rems if F.q == 2 else [_kindex(r, F) for r in rems]
 
 
 # -- text formats ----------------------------------------------------------------

@@ -103,14 +103,20 @@ def _powers(x: Poly, n: int) -> list[Poly]:
     return out
 
 
-def _system_rows(entries, budget: int, what: str) -> list:
+def _system_rows(entries, budget: int, what: str, ncols: int = 0) -> list:
     """Rows of an F_q-linear system whose unknowns multiply powers of t.
 
     Each entry lists one (b, i) pair per column: that column holds the
     coefficients of t^i * b, zero-padded to the entry's height (the largest
     deg b + i + 1), so row r is the t^r equation.  The running row count is
-    checked against the budget before an entry's rows are built.
+    checked against the budget before an entry's rows are built.  Each entry
+    of a relation or ansatz system has a column t^0 * 1, so it adds at least
+    one row: their callers pass the column count, and more columns than the
+    budget are refused before the first entry is built.
     """
+    refusal = "%s exceeds %d matrix entries" % (what, budget)
+    if ncols > budget:
+        raise BudgetExceeded(refusal)
     rows = []
     nrows = 0
     for cols in entries:
@@ -118,8 +124,7 @@ def _system_rows(entries, budget: int, what: str) -> list:
                      default=0)
         nrows += height
         if nrows * len(cols) > budget:
-            raise BudgetExceeded("%s exceeds %d matrix entries"
-                                 % (what, budget))
+            raise BudgetExceeded(refusal)
         pad = (0,) * height
         rows.extend(zip(*[((0,) * i + b.coeffs + pad)[:height]
                           for b, i in cols]))
@@ -138,7 +143,8 @@ def _relation_rows(table: FuncTable, bounds: TriDegreeBounds,
                 row = [b * a for b in row]
                 base += row
             yield [(b, i) for i in range(bounds.i_max + 1) for b in base]
-    return _system_rows(entries(), budget, "relation system")
+    return _system_rows(entries(), budget, "relation system",
+                        bounds.unknowns)
 
 
 def find_relation(table: FuncTable, bounds: TriDegreeBounds,
@@ -257,6 +263,11 @@ class LinearCaps:
                self.q_deg_x, self.q_coeff_deg) < 0:
             raise ValueError("caps must be >= 0")
 
+    @property
+    def unknowns(self) -> int:
+        return ((self.p_deg_x + 1) * (self.p_coeff_deg + 1)
+                + (self.q_deg_x + 1) * (self.q_coeff_deg + 1))
+
 
 @dataclass(frozen=True)
 class LinearAnsatz:
@@ -280,7 +291,8 @@ def _linear_rows(samples, caps: LinearCaps, budget: int) -> list:
                     for i in range(caps.p_coeff_deg + 1)]
                    + [(xp[j], i) for j in range(caps.q_deg_x + 1)
                       for i in range(caps.q_coeff_deg + 1)])
-    return _system_rows(entries(), budget, "linear ansatz system")
+    return _system_rows(entries(), budget, "linear ansatz system",
+                        caps.unknowns)
 
 
 def find_linear_relation(samples, caps: LinearCaps,
@@ -300,7 +312,7 @@ def find_linear_relation(samples, caps: LinearCaps,
     pw, qw = caps.p_coeff_deg + 1, caps.q_coeff_deg + 1
     p_cols = (caps.p_deg_x + 1) * pw
     vec = kernel_vector(field, _linear_rows(samples, caps, budget),
-                        p_cols + (caps.q_deg_x + 1) * qw)
+                        caps.unknowns)
     if vec is None:
         return None
     p_coeffs = [Poly(field, vec[c:c + pw]) for c in range(0, p_cols, pw)]
@@ -601,14 +613,16 @@ def _reproduces(nums, d: Poly, table: FuncTable) -> bool:
 
 
 def run_pipeline(table: FuncTable, bounds: TriDegreeBounds, u: Poly, N: int,
-                 caps: LinearCaps | None = None) -> PipelineReport:
+                 caps: LinearCaps | None = None,
+                 budget: int = DEFAULT_MATRIX_BUDGET) -> PipelineReport:
     """Relation -> degree bound -> linear ansatz on powers of u -> exact
-    division -> full-table cross-check."""
+    division -> full-table cross-check; both solvers get the matrix
+    budget."""
     steps = []
     rel = cert = ansatz = recovered = None
     reproduces = False
 
-    rel = find_relation(table, bounds)
+    rel = find_relation(table, bounds, budget)
     steps.append(("find_relation", rel is not None,
                   "found" if rel else "no nonzero relation in the box"))
     if rel is not None:
@@ -629,7 +643,8 @@ def run_pipeline(table: FuncTable, bounds: TriDegreeBounds, u: Poly, N: int,
             if caps is None:
                 caps = LinearCaps(p_deg_x=0, p_coeff_deg=0,
                                   q_deg_x=cert.c3, q_coeff_deg=cert.c4)
-            ansatz = find_linear_relation(power_samples(table, u, N), caps)
+            ansatz = find_linear_relation(power_samples(table, u, N), caps,
+                                          budget)
             steps.append(("linear_relation", ansatz is not None,
                           "found" if ansatz else "trivial kernel under caps"))
     if ansatz is not None:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, envelopes, determinism, file output."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -618,3 +619,116 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "subcommand" in out
+
+
+def assert_one_error_line(command, code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("fqtlab %s: error: " % command)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_pipeline_keeps_the_matrix_budget(capsys, cube_table_path):
+    for command in ("find-relation", "pipeline"):
+        argv = [command, "--table", cube_table_path, "--bounds", "1,3,1",
+                "--budget", "10"]
+        if command == "pipeline":
+            argv += ["--U", "t", "--N", "3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert_one_error_line(command, code, out, err)
+        assert "relation system exceeds 10 matrix entries" in err
+
+
+def run_limited(*argv):
+    """The CLI in a child process under a 1 GB address-space limit and a
+    10 s timeout, so a run that builds or loops instead of refusing fails
+    the test without exhausting the host."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "fqtlab.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=limit)
+
+
+# each would allocate or loop for long before the budget check it used to
+# reach; every one must be refused before any work starts
+@pytest.mark.parametrize("argv, needle", [
+    (("find-relation", "--bounds", "100000000,0,0"),
+     "relation system exceeds 4194304 matrix entries"),
+    (("linear-relation", "--U", "t", "--N", "1",
+      "--caps", "0,100000000,0,0"),
+     "linear ansatz system exceeds 4194304 matrix entries"),
+    (("pipeline", "--bounds", "0,100000000,0", "--U", "t", "--N", "1"),
+     "relation system exceeds 4194304 matrix entries"),
+    (("dn", "--q", "2", "--n", "100000000"),
+     "n=100000000 exceeds the degree budget 16384"),
+    (("identity-check", "--n", "100000000"),
+     "n=100000000 materializes degree q^n > budget 16384"),
+    (("build-counterexample", "--D", "100000000"),
+     "D=100000000 materializes degree ~2*q^D > budget 16384"),
+    (("irreducibles", "--q", "2", "--n", "1000000000000"),
+     "degree 1000000000000 over q=2 exceeds budget 1048576"),
+    (("delta-lab", "--q", "2", "--U", "t", "--n", "100000", "--sweep"),
+     "sweep to n=100000 exceeds the degree budget 16384"),
+], ids=["find-relation", "linear-relation", "pipeline", "dn",
+        "identity-check", "build-counterexample", "irreducibles",
+        "delta-lab-sweep"])
+def test_huge_arguments_are_refused_at_once(tmp_path, argv, needle):
+    if "--bounds" in argv or "--caps" in argv:
+        path = tmp_path / "square.json"
+        FuncTable.from_function(F2, 2, lambda a: a * a).save(path)
+        argv = (argv[0], "--table", str(path)) + argv[1:]
+    proc = run_limited(*argv)
+    assert_one_error_line(argv[0], proc.returncode, proc.stdout, proc.stderr)
+    assert needle in proc.stderr
+
+
+def test_dn_over_the_degree_budget_is_refused(capsys):
+    code, out, err = run_cli(capsys, "dn", "--q", "2", "--n", "20000")
+    assert_one_error_line("dn", code, out, err)
+    assert "n=20000 exceeds the degree budget 16384" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-str conversion")
+def test_envelope_errors_end_in_one_line(capsys):
+    # a report whose ints exceed the interpreter's str conversion limit
+    # fails while the envelope is written: one error line, no traceback
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "dn", "--q", "2", "--n", "15000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert_one_error_line("dn", code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sunit-enum", "--q", "2", "--gens", "[1,2]", "--E", "1"),
+    ("sunit-orbits", "--q", "2", "--gens", "[null]", "--E", "1"),
+    ("sunit-enum", "--q", "2", "--gens", '["t", ["t"]]', "--E", "1"),
+], ids=["ints", "null", "nested"])
+def test_gens_must_be_a_list_of_strings(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_one_error_line(argv[0], code, out, err)
+    assert "--gens must be a JSON list of strings" in err
+
+
+def test_growth_epsilon_with_zero_denominator(capsys, growth_table_path):
+    code, out, err = run_cli(capsys, "growth", "--table", growth_table_path,
+                             "--epsilon", "1/0")
+    assert_one_error_line("growth", code, out, err)
+
+
+def test_delta_lab_sweep_stops_each_n_at_the_budget(capsys):
+    # every (m, n) pair with 0 <= m < n <= 9 is a row or skipped, and a
+    # pair is skipped exactly when deg U * s0(m, n) exceeds the budget
+    from fqtlab.deltalab import s0
+    code, out, _ = run_cli(capsys, "delta-lab", "--q", "3", "--U", "t^2+t",
+                           "--n", "9", "--sweep", "--budget", "40")
+    assert code == 0
+    result = envelope(out)["result"]
+    pairs = [(m, n) for n in range(1, 10) for m in range(n)]
+    kept = [(m, n) for m, n in pairs if 2 * s0(m, n) <= 40]
+    assert [(r["spec"]["m"], r["spec"]["n"]) for r in result["rows"]] == kept
+    assert result["skipped"] == len(pairs) - len(kept)

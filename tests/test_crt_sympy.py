@@ -5,11 +5,14 @@ first.  Its `gf_crt` is the integer CRT, so the oracle here is `gf_rem`:
 the lift must reduce to each residue modulo each modulus.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtlab import (CRTBasis, FiniteField, Poly, crt,
                     enumerate_monic_irreducibles)
+from fqtlab.poly import _NEWTON_MIN_WORK
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -65,3 +68,33 @@ def test_crt_lift_matches_gf_rem(inst):
         assert galoistools.gf_irreducible_p(to_gf(m), p, ZZ)
         assert (galoistools.gf_rem(to_gf(lift), to_gf(m), p, ZZ)
                 == galoistools.gf_rem(to_gf(r), to_gf(m), p, ZZ))
+
+
+# a CRT term reduces by its modulus's `Modulus`, which keeps a Newton inverse
+# once deg*(deg - 1) reaches _NEWTON_MIN_WORK
+NEWTON_DEG = next(d for d in range(2, 100) if d * (d - 1) >= _NEWTON_MIN_WORK)
+
+
+@pytest.mark.parametrize("p", [3, 7, M31])
+def test_crt_lift_matches_gf_rem_around_the_newton_rule(p):
+    field = FiniteField(p)
+    rng = random.Random(p)
+    moduli = []
+    for d in (2, NEWTON_DEG - 1, NEWTON_DEG, 30):
+        while True:
+            m = Poly(field, [rng.randrange(p) for _ in range(d)] + [1])
+            if all(galoistools.gf_gcd(to_gf(m), to_gf(o), p, ZZ) == [1]
+                   for o in moduli):
+                break
+        moduli.append(m)
+    basis = CRTBasis(moduli)
+    assert [m._newton is not None for m, _, _ in basis._terms] == [
+        False, False, True, True]
+    # short residues take the Newton quotient, long ones the schoolbook loop
+    for n in (0, 10, 60, 200):
+        residues = [Poly(field, [rng.randrange(p) for _ in range(n)])
+                    for _ in moduli]
+        lift = crt(residues, basis)
+        for r, m in zip(residues, moduli):
+            assert (galoistools.gf_rem(to_gf(lift), to_gf(m), p, ZZ)
+                    == galoistools.gf_rem(to_gf(r), to_gf(m), p, ZZ))

@@ -93,6 +93,13 @@ class _SmallPowersOnly(int):
         return int(self) ** e
 
 
+def test_from_function_refuses_a_huge_domain_without_computing_q_power():
+    field = FiniteField(2)
+    field.q = _SmallPowersOnly(2)
+    with pytest.raises(BudgetExceeded, match="degree <= 1000000000000 "):
+        FuncTable.from_function(field, 10 ** 12, lambda a: a)
+
+
 def test_table_rejects_inconsistent_D_without_computing_q_power(monkeypatch):
     field = FiniteField(2)
     field.q = _SmallPowersOnly(2)

@@ -146,7 +146,7 @@ def test_powmod_and_pow_skip_the_last_squaring(monkeypatch, k, products,
                                                mod_len):
     # square-and-multiply: one product per set bit of k, one squaring per
     # bit below the top one, and no squaring after the top bit is used;
-    # powmod multiplies kernel forms, ** multiplies Polys
+    # powmod and ** run the one loop on kernel forms
     modulus = Poly(F3, [1] * mod_len)
     base = Poly(F3, [2, 1, 0, 1])
     expected = base.powmod(k, modulus), base ** k
@@ -160,15 +160,7 @@ def test_powmod_and_pow_skip_the_last_squaring(monkeypatch, k, products,
     monkeypatch.setattr(poly_module, "_kmul", counting_kmul)
     assert base.powmod(k, modulus) == expected[0]
     assert len(calls) == products
-    monkeypatch.undo()
     calls.clear()
-    mul = Poly.__mul__
-
-    def counting_mul(a, b):
-        calls.append(1)
-        return mul(a, b)
-
-    monkeypatch.setattr(Poly, "__mul__", counting_mul)
     assert base ** k == expected[1]
     assert len(calls) == products
 

@@ -151,6 +151,29 @@ def test_shared_modulus_powmod_matches_gf_pow_mod(p, deg):
                 to_gf(a), k, to_gf(b), p, ZZ)
 
 
+@pytest.mark.parametrize("p", NEWTON_PRIMES)
+def test_remainder_tree_matches_gf_rem_around_the_newton_rule(p):
+    # node i keeps a Newton inverse once (parent degree - its degree) times
+    # its degree reaches _NEWTON_MIN_WORK: these moduli put nodes on both
+    # sides, so both division kernels of the descent meet the oracle
+    F = FIELDS[p]
+    rng = random.Random(p)
+    moduli = [Poly(F, [rng.randrange(p) for _ in range(d)]
+                   + [rng.randrange(1, p)])
+              for d in (3, 9, NEWTON_DEG - 1, NEWTON_DEG, 40)]
+    tree = RemainderTree(moduli)
+    newton = [node._newton is not None
+              for level in tree._levels for node in level]
+    assert any(newton) and not all(newton)
+    total = sum(m.deg for m in moduli)
+    for n in (0, 5, total, 2 * total + 3):
+        x = Poly(F, [rng.randrange(p) for _ in range(n)])
+        assert tree.indices(x) == [
+            sum(c * p ** i for i, c in enumerate(reversed(
+                galoistools.gf_rem(to_gf(x), to_gf(m), p, ZZ))))
+            for m in moduli]
+
+
 @given(pair())
 @settings(max_examples=60, deadline=None)
 def test_xgcd_matches_gf_gcdex(inst):

@@ -52,7 +52,7 @@ def test_indices_match_direct_remainders(field):
 def test_odd_p_tree_keeps_newton_inverses():
     # the F_3 case above runs both division kernels of an odd-p tree
     tree = RemainderTree(irreducibles_up_to(FiniteField(3), DEGREES[3]))
-    inverses = [inv for level in tree._levels for _, inv in level]
+    inverses = [node._newton for level in tree._levels for node in level]
     assert any(inv is not None for inv in inverses)
     assert any(inv is None for inv in inverses)
 
