@@ -14,8 +14,10 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import counterexample, deltalab, relations, sunit
 from .errors import (DEFAULT_DEGREE_BUDGET as DEGREE_BUDGET,
@@ -148,14 +150,22 @@ def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
 
 
 def _parse_gens(field, text: str, budget: int) -> tuple[Poly, ...]:
-    if text.lstrip().startswith("["):
+    """A JSON list of literals, or literals separated by the commas that
+    lie outside brackets, so "t,[1,1]*t" keeps its extension coefficient."""
+    try:
         literals = json.loads(text)
-        if not (isinstance(literals, list)
-                and all(isinstance(lit, str) for lit in literals)):
+    except ValueError:
+        literals = None
+    if isinstance(literals, list):
+        if not all(isinstance(lit, str) for lit in literals):
             raise ValueError("--gens must be a JSON list of strings, got %s"
                              % text)
     else:
-        literals = text.split(",")
+        depths = accumulate((c == "[") - (c == "]") for c in text)
+        cuts = [i for i, (c, d) in enumerate(zip(text, depths))
+                if c == "," and not d]
+        literals = [text[i + 1:j]
+                    for i, j in zip([-1] + cuts, cuts + [len(text)])]
     return tuple(parse_poly(field, lit, budget) for lit in literals)
 
 
@@ -212,6 +222,14 @@ def _cmd_dn(args, budgets):
     if n > budgets["degree"]:
         raise BudgetExceeded("n=%d exceeds the degree budget %d"
                              % (n, budgets["degree"]))
+    # the report prints 2*q^n in full: refuse before the work if its
+    # digits pass the interpreter's int-to-str limit (0 is no limit)
+    digits = int(n * math.log10(q) + math.log10(2)) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise BudgetExceeded("n=%d: 2*q^n has %d digits, over the "
+                             "interpreter's limit of %d for printing an int"
+                             % (n, digits, limit))
     d_n = degree_sum(q, n)
     lower, upper = q ** n, 2 * q ** n
     ok = lower <= d_n < upper

@@ -7,11 +7,16 @@ was assigned earlier.  The CRT lift R of those residues has degree below
 dsum(n) = deg(prod P), and the value is then set to R + prod P, pinning
 deg g(B) = dsum(n), inside [q^n, 2*q^n).  All inputs of degree n share the
 same moduli, so one CRT basis is built per degree level and every row of
-that level is lifted through it, in packed form (see `poly.CRTBasis`).  The
-residue g(rp) mod P depends only on P and rp = B mod P, so it is reduced
-once, by direct division, and kept for every later row with the same pair;
-certification reads residues from a remainder tree instead, so the two
-stay independent.
+that level is lifted through it, in packed form (see `poly.CRTBasis`).
+
+The build reduces nothing it can look up.  Input residues come from one
+step table per modulus (`_step_table`, after table-driven CRC reduction):
+A_k = t*A_(k//q) + (k mod q), so each input's residue index is one look-up
+from its parent's, a level at a time, and no input is divided.  The residue
+g(rp) mod P depends only on P and rp = B mod P, so it is reduced once,
+remainder-only by P's `Modulus`, and kept for every later row with the same
+pair.  Certification reads residues from its own remainder tree instead, so
+the two stay independent.
 
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.  Certification builds the table's ResidueMap once:
@@ -23,12 +28,13 @@ reduced directly.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded, power_exceeds
-from .functable import FuncTable, ResidueMap, verify_p3
+from .functable import FuncTable, ResidueMap, index_code, verify_p3
 from .irreducibles import enumerate_monic_irreducibles, irreducible_product
-from .poly import CRTBasis, Poly, crt, polys_up_to
+from .poly import CRTBasis, Modulus, Poly, crt, polys_up_to
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,29 @@ class CertifyReport:
     trace_failures: tuple[str, ...]
 
 
+def _step_table(p: Poly) -> array:
+    """S_P for a monic P of degree d: S_P[j] is the index of A_j mod P for
+    every j < q^(d+1), in an array of the narrowest type.
+
+    The first q^d entries are the identity.  For the top coefficient h of
+    A_j, j = h*q^d + l, and A_j mod P = A_l + h*x with x = t^d mod P =
+    -(P - t^d), so each block of q^d entries is built a digit at a time,
+    from the top: digit i of an entry is add(digit i of l, h*x_i).  Over
+    GF(2) the second block is j XOR P.
+    """
+    F = p.field
+    q, d = F.q, p.deg
+    x = [F.neg(c) for c in p.coeffs[:d]]
+    table = array(index_code(q ** d))
+    for h in range(q):
+        block = [0]
+        for xi in reversed(x):
+            row = [F.add(c, F.mul(h, xi)) for c in range(q)]
+            block = [v * q + r for v in block for r in row]
+        table.extend(block)
+    return table
+
+
 def build_counterexample(field, D: int,
                          budget: int = DEFAULT_DEGREE_BUDGET
                          ) -> tuple[FuncTable, ConstructionTrace]:
@@ -67,38 +96,50 @@ def build_counterexample(field, D: int,
         raise BudgetExceeded(
             "construction at D=%d materializes degree ~2*q^D > budget %d"
             % (D, budget))
-    values: dict[Poly, Poly] = {}
+    q = field.q
     zero = Poly.zero(field)
-    for a in polys_up_to(field, 0):
-        values[a] = zero
+    vals = [zero] * q  # vals[k] = g(A_k); constants map to zero
+    # every residue mod a modulus of degree <= D, by index
+    residue_polys = list(polys_up_to(field, D - 1))
+    code = index_code(q ** D)
     rows = []
     irreds: list[Poly] = []
-    # memo[i][rp.coeffs] = values[rp] % irreds[i], shared by every row
-    # whose input is congruent to rp mod irreds[i]; equal residues share
-    # one Poly through `canon`
-    memo: list[dict] = []
-    canon: dict = {}
+    # per modulus: its step table, its Modulus for the longest quotient a
+    # value at a residue leaves (values at inputs of degree < d have degree
+    # below 2*q^(d-1)), the residue indices of the previous level's inputs,
+    # and memo[r] = vals[r] mod P, shared by every row whose input has
+    # residue index r
+    steps, mods, cols, memos = [], [], [], []
     for n in range(1, D + 1):
-        irreds.extend(enumerate_monic_irreducibles(field, n))
-        memo.extend({} for _ in range(len(irreds) - len(memo)))
+        new = enumerate_monic_irreducibles(field, n)
+        base = q ** n
+        irreds.extend(new)
+        steps.extend(_step_table(p) for p in new)
+        mods.extend(Modulus(p, 2 * q ** (n - 1) - n) for p in new)
+        # the inputs of degree n - 1 are their own residues mod P of degree n
+        cols.extend(range(base // q, base) for _ in new)
+        memos.extend([None] * base for _ in new)
+        # A_k = t*A_(k//q) + (k mod q): one table step per input and modulus
+        cols = [array(code, [s[r * q + c] for r in col for c in range(q)])
+                for s, col in zip(steps, cols)]
         basis = CRTBasis(irreds)
         modulus = basis.modulus
-        base = field.q ** n
-        for k in range(base, base * field.q):
+        for k, krs in enumerate(zip(*cols), base):
             b = Poly.from_index(field, k)
-            pairs = tuple((p, b % p) for p in irreds)
+            pairs = tuple(zip(irreds, map(residue_polys.__getitem__, krs)))
             residues = []
-            for seen, (p, rp) in zip(memo, pairs):
-                r = seen.get(rp.coeffs)
+            for memo, m, kr in zip(memos, mods, krs):
+                r = memo[kr]
                 if r is None:
-                    r = values[rp] % p
-                    r = seen[rp.coeffs] = canon.setdefault(r.coeffs, r)
+                    r = memo[kr] = residue_polys[(vals[kr] % m).index()]
                 residues.append(r)
             r = crt(residues, basis)
             value = r + modulus
-            values[b] = value
+            vals.append(value)
             rows.append(TraceRow(b=b, residue_pairs=pairs, crt_value=r,
                                  modulus=modulus, value=value))
+    values = dict.fromkeys(polys_up_to(field, 0), zero)
+    values.update((row.b, row.value) for row in rows)
     table = FuncTable(field, D, values)
     return table, ConstructionTrace(D=D, rows=tuple(rows))
 

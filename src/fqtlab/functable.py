@@ -204,6 +204,11 @@ class P3Report:
     truncated: bool
 
 
+def index_code(top: int) -> str:
+    """The narrowest `array` type code that holds every index below top."""
+    return next(c for c in "BHILQ" if top <= 1 << 8 * array(c).itemsize)
+
+
 class ResidueMap:
     """A table's inputs and values mod every monic irreducible of degree <= D.
 
@@ -225,8 +230,7 @@ class ResidueMap:
         mods = []
         for d in range(1, table.D + 1):
             mods.extend(enumerate_monic_irreducibles(table.field, d))
-        top = table.field.q ** table.D  # every residue index is below it
-        code = next(c for c in "BHILQ" if top <= 1 << 8 * array(c).itemsize)
+        code = index_code(table.field.q ** table.D)  # residues lie below it
         self.moduli = tuple(mods)
         self.inputs = tuple(array(code) for _ in mods)
         self.values = tuple(array(code) for _ in mods)

@@ -30,7 +30,8 @@ quotient from a Newton inverse of the reversed modulus, computed and packed
 once per modulus, and its remainder from one more product.  A single
 `divmod` computes an inverse of its own once both the quotient length and
 deg(divisor) reach _NEWTON_ONCE_MIN_LEN and their product reaches
-_NEWTON_ONCE_MIN_WORK; `%` and `//` go through `divmod`.  Extension fields
+_NEWTON_ONCE_MIN_WORK; `//` and `%` by a Poly go through `divmod`, while
+`%` by a `Modulus` takes the remainder alone.  Extension fields
 run schoolbook loops on the field's tables.  Sums act coefficientwise on
 the codes: XOR over characteristic 2, plain ints mod p over other prime
 fields, the tables otherwise; a difference is a sum with the negation.
@@ -39,7 +40,8 @@ fields, the tables otherwise; a difference is a sum with the negation.
 `Poly.powmod` runs `_kpow` on one, `CRTBasis` keeps one per modulus and
 `RemainderTree` one per node.  A caller raising many residues to powers mod
 one P (`factor`'s distinct-degree split, Rabin's test, equal-degree
-splitting) builds it once and passes it instead of P.
+splitting) builds it once and passes it instead of P, and `a % Modulus(P, k)`
+reduces a mod P without building the quotient `a % P` would.
 
 `poly_gcd` runs all of Euclid on kernel forms and builds one Poly at the
 end; over odd p it packs each operand once into a Kronecker form with
@@ -638,6 +640,11 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
+        """self mod other, a nonzero Poly or a `Modulus`; by a Modulus the
+        remainder comes from its prepared data and no quotient is built."""
+        if isinstance(other, Modulus):
+            self._check_same_field(other.poly)
+            return Poly._wrap(self.field, other._reduce(self._kernel()))
         return divmod(self, other)[1]
 
     def powmod(self, k: int, modulus) -> "Poly":

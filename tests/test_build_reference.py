@@ -3,8 +3,9 @@
 `reference_build` is the construction written plainly: per degree level one
 Poly-form CRT basis (`test_crt.reference_basis`), and per row one division
 `values[rp] % P` for every modulus P, each lift summed as Poly.  The
-library lifts in packed form and reduces each (modulus, residue) pair once;
-its table and every trace row must be equal to these.
+library takes input residues from step tables, lifts in packed form and
+reduces each (modulus, residue) pair once; its table and every trace row
+must be equal to these.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from fqtlab.functable import FuncTable
 from fqtlab.irreducibles import (count_irreducibles,
                                  enumerate_monic_irreducibles,
                                  irreducible_product)
-from fqtlab.poly import polys_up_to
+from fqtlab.poly import Modulus, polys_up_to
 
 from test_crt import reference_basis
 
@@ -66,25 +67,35 @@ def test_build_division_count(monkeypatch):
     # kernel forms and makes no Poly division.  The build divides 158 times
     # for its five CRT bases: one M // P and one C % P per modulus,
     # 2 * (2 + 3 + 5 + 8 + 14) = 64, and 94 in the xgcds for the inverses.
-    # poly_gcd runs on packed ints and makes no Poly division.  Its 62 rows
-    # hold 632 (row, modulus) pairs: each costs one b mod P, while
-    # values[rp] mod P is taken once per distinct (modulus, rp) pair, 264
-    # of them.  The lifts make no Poly division; per-pair residues and
-    # Poly-form lifts made 3,255, Poly-level Euclid 2,255, and powmod
+    # That is 74 + (64 + 94) = 232 Poly divisions.  poly_gcd runs on packed
+    # ints and makes no Poly division.  Its 62 rows hold 632 (row, modulus)
+    # pairs: each b mod P is a step-table look-up, no division (it was 632
+    # divisions), and values[rp] mod P is reduced remainder-only by the
+    # modulus's `Modulus`, once per distinct (modulus, rp) pair: 264 of
+    # them, which build no quotient and are not Poly divisions (they were,
+    # for 1,128 in all).  The lifts make no Poly division; per-pair residues
+    # and Poly-form lifts made 3,255, Poly-level Euclid 2,255, and powmod
     # reducing through Poly division 1,604.
     for cached in (enumerate_monic_irreducibles, irreducible_product,
                    count_irreducibles):
         cached.cache_clear()
-    calls = []
-    divmod_ = Poly.__divmod__
+    calls, reductions = [], []
+    divmod_, mod_ = Poly.__divmod__, Poly.__mod__
 
     def counting_divmod(a, b):
         calls.append(1)
         return divmod_(a, b)
 
+    def counting_mod(a, b):
+        if isinstance(b, Modulus):
+            reductions.append(1)
+        return mod_(a, b)
+
     monkeypatch.setattr(Poly, "__divmod__", counting_divmod)
+    monkeypatch.setattr(Poly, "__mod__", counting_mod)
     table, trace = build_counterexample(FiniteField(2), 5)
     pairs = [(p, rp) for row in trace.rows for p, rp in row.residue_pairs]
     assert len(trace.rows) == 62 and len(pairs) == 632
     assert len({(p.coeffs, rp.coeffs) for p, rp in pairs}) == 264
-    assert len(calls) == 74 + (64 + 94) + 632 + 264 == 1128
+    assert len(calls) == 74 + (64 + 94) == 232
+    assert len(reductions) == 264

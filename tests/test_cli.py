@@ -9,8 +9,10 @@ import pytest
 
 from fqtlab import FiniteField, FuncTable, LinearAnsatz, LinearCaps, Poly
 from fqtlab.cli import _ansatz_to_obj, main
+from fqtlab.poly import format_poly, parse_poly
 
 F2 = FiniteField(2)
+F4 = FiniteField(2, 2)
 t = Poly(F2, [0, 1])
 one = Poly.one(F2)
 
@@ -712,6 +714,45 @@ def test_gens_must_be_a_list_of_strings(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert_one_error_line(argv[0], code, out, err)
     assert "--gens must be a JSON list of strings" in err
+
+
+@pytest.mark.parametrize("command, E", [("sunit-enum", 1),
+                                        ("sunit-orbits", 2)])
+@pytest.mark.parametrize("gens", [("t", "[1,1]*t"), ("[1,1]*t", "t")],
+                         ids=["plain-first", "bracket-first"])
+def test_gens_comma_form_keeps_extension_coefficients(capsys, command, E,
+                                                      gens):
+    # commas inside a bracketed coefficient do not split a generator, and
+    # a comma list that opens with a bracket is not read as JSON
+    results = []
+    for text in (",".join(gens), json.dumps(list(gens))):
+        code, out, err = run_cli(capsys, command, "--q", "4", "--gens", text,
+                                 "--E", str(E))
+        assert code == 0, err
+        results.append(envelope(out)["result"])
+    assert results[0] == results[1]
+    assert results[0]["generators"] == [
+        format_poly(parse_poly(F4, g)) for g in gens]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-str conversion")
+def test_dn_past_the_str_digit_limit_is_refused_before_the_work(
+        capsys, monkeypatch):
+    # 2*2^15000 has 4,516 digits: past the default limit of 4,300, so the
+    # report could not be printed; d_n is never computed
+    def no_work(q, n):
+        raise AssertionError("degree_sum called")
+
+    monkeypatch.setattr("fqtlab.cli.degree_sum", no_work)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "dn", "--q", "2", "--n", "15000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert_one_error_line("dn", code, out, err)
+    assert "4516 digits" in err and "4300" in err
 
 
 def test_growth_epsilon_with_zero_denominator(capsys, growth_table_path):

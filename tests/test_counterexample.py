@@ -1,9 +1,13 @@
 """The CRT-built table with forced value growth, and its certifier."""
 
+import random
+
 import pytest
 
 from fqtlab import (BudgetExceeded, FiniteField, Poly, build_counterexample,
                     certify_counterexample, degree_sum, verify_p3)
+from fqtlab.counterexample import _step_table
+from fqtlab.irreducibles import enumerate_monic_irreducibles
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -136,3 +140,32 @@ def test_certify_division_count(monkeypatch):
     assert len(calls) == 0
     assert not certify_counterexample(tab, bad_trace).trace_ok
     assert len(calls) == len(last.residue_pairs) == 14
+
+
+# (field, D): every monic irreducible P of degree <= D; F_9 twice, the
+# second with t^2 + t + 2 in place of the default t^2 + 1
+STEP_FIELDS = [(F2, 5), (F3, 3), (FiniteField(5), 3), (FiniteField(2, 2), 3),
+               (FiniteField(2, 3), 3), (FiniteField(3, 2), 3),
+               (FiniteField(3, 2, (2, 1, 1)), 3)]
+
+
+@pytest.mark.parametrize("field, D", STEP_FIELDS,
+                         ids=["F2", "F3", "F5", "F4", "F8", "F9", "F9b"])
+def test_step_table_matches_division(field, D):
+    # S_P[j] is the index of A_j mod P for every j < q^(d+1).  The 168 and
+    # 240 cubics over F_8 and F_9 have 4,096 and 6,561 entries each: there
+    # a seeded sample of j, with the first and last entry of each block of
+    # q^d, stands in for all of them
+    q = field.q
+    rng = random.Random(q)
+    for d in range(1, D + 1):
+        top = q ** (d + 1)
+        js = range(top)
+        if top > 4000:
+            js = sorted(set(rng.sample(js, 300)) | {
+                h * q ** d + l for h in range(q) for l in (0, q ** d - 1)})
+        for p in enumerate_monic_irreducibles(field, d):
+            steps = _step_table(p)
+            assert len(steps) == top
+            assert [steps[j] for j in js] == [
+                (Poly.from_index(field, j) % p).index() for j in js]

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from fqtlab import poly as poly_module
 from fqtlab.errors import BudgetExceeded, PolyParseError
 from fqtlab.field import FiniteField
-from fqtlab.poly import (NEG_INF, Poly, format_poly, format_poly_compact,
+from fqtlab.poly import (NEG_INF, Modulus, Poly, format_poly,
+                         format_poly_compact,
                          monic_polys_of_degree, parse_poly, poly_gcd,
                          poly_xgcd, polys_up_to)
 
@@ -188,6 +189,30 @@ def test_extension_powmod_matches_pow_then_mod(field):
                 assert a.powmod(k, m) == (a ** k) % m
     with pytest.raises(ZeroDivisionError):
         Poly.gen(field).powmod(3, Poly.zero(field))
+
+
+@pytest.mark.parametrize("field", [F2, F4, FiniteField(3, 2)],
+                         ids=lambda F: "F%d" % F.q)
+def test_remainder_by_a_modulus_matches_remainder_by_its_poly(field):
+    # `%` by a Modulus reduces on its prepared form and builds no quotient;
+    # k covers quotients up to k terms, and longer ones are served too
+    rng = random.Random(field.q)
+    for d in (0, 1, 3, 8):
+        m = random_poly(field, rng, d)
+        for k in (None, 1, 40):
+            mod = Modulus(m, k)
+            for n in (-1, 0, d - 1, d, 2 * d + 3, d + 60):
+                a = random_poly(field, rng, n)
+                assert a % mod == a % m
+    with pytest.raises(ZeroDivisionError):
+        Modulus(Poly.zero(field))
+
+
+def test_remainder_by_a_modulus_of_another_field_is_refused():
+    with pytest.raises(ValueError, match="mixed-field"):
+        Poly.gen(F3) % Modulus(Poly.gen(FiniteField(3, 2)))
+    with pytest.raises(ValueError, match="mixed-field"):
+        Poly.gen(F2) % Modulus(Poly.gen(F4))
 
 
 @pytest.mark.parametrize("field", [F2, F3, F4], ids=lambda F: "F%d" % F.q)

@@ -174,6 +174,26 @@ def test_remainder_tree_matches_gf_rem_around_the_newton_rule(p):
             for m in moduli]
 
 
+@pytest.mark.parametrize("p", NEWTON_PRIMES)
+@pytest.mark.parametrize("deg", [3, 12, 40])
+def test_remainder_by_a_modulus_matches_gf_rem(p, deg):
+    # `%` by a Modulus built for quotients of up to k terms: k just below
+    # and at the least one with k * deg >= _NEWTON_MIN_WORK, so the Newton
+    # and schoolbook kernels both meet the oracle, on dividends whose
+    # quotients run from none to k terms and one past it (schoolbook again)
+    F = FIELDS[p]
+    rng = random.Random(p * deg)
+    b = Poly(F, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
+    newton_k = -(-_NEWTON_MIN_WORK // deg)
+    for k in (newton_k - 1, newton_k):
+        mod = Modulus(b, k)
+        assert (mod._newton is not None) == (k == newton_k)
+        for n in (0, deg, deg + 1, deg + k // 2, deg + k, deg + k + 1):
+            a = Poly(F, [rng.randrange(p) for _ in range(n)])
+            assert to_gf(a % mod) == galoistools.gf_rem(
+                to_gf(a), to_gf(b), p, ZZ)
+
+
 @given(pair())
 @settings(max_examples=60, deadline=None)
 def test_xgcd_matches_gf_gcdex(inst):
