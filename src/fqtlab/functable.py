@@ -8,10 +8,12 @@ literals and canonically sorted entries, so equal tables produce identical
 bytes.
 
 The congruence check reads a ResidueMap: the residue, as an index, of every
-input and every value mod every monic irreducible of degree <= D.  Each
-polynomial is reduced once, down a RemainderTree of all those moduli, and
-a caller that needs the residues too (certification) builds the map once
-and passes it in.
+input and every value mod every monic irreducible of degree <= D.  The map
+reduces all entries at once, as F_p-linear maps on packed columns of their
+coordinates (`residues.RemainderTree.index_arrays`): values go down a
+RemainderTree of all those moduli only to its stop level, and inputs need
+no descent at all.  A caller that needs the residues too (certification)
+builds the map once and passes it in.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .errors import (DEFAULT_DEGREE_BUDGET, DEFAULT_ENUM_BUDGET,
                      BudgetExceeded, TableDomainError, power_exceeds)
 from .field import FiniteField
 from .irreducibles import degree_sum, enumerate_monic_irreducibles
-from .poly import (NEG_INF, Poly, RemainderTree, _horner,
-                   format_poly_compact, parse_poly, polys_up_to)
+from .poly import (NEG_INF, Poly, _horner, format_poly_compact, parse_poly,
+                   polys_up_to)
 
 # Degree cap for human-form values in table files.  build_counterexample
 # refuses q^D > budget, so under the default budget its largest value, of
@@ -214,14 +216,23 @@ class ResidueMap:
 
     `moduli` lists those irreducibles by degree, each degree in canonical
     order.  For the domain entry A_k of index k, inputs[i][k] is the index of
-    A_k mod moduli[i] and values[i][k] that of f(A_k) mod moduli[i].  Each
-    input and each value goes down one RemainderTree of all the moduli.
-    Residues are kept as indices, below q^D, in one array per modulus of the
-    narrowest type that holds them (a byte each when q^D <= 256, two bytes
-    up to 65536), not as polynomials.  The map still holds 2 * q^(D+1)
-    indices per modulus at once, so it grows with the number of moduli
-    times the domain: at (q=2, D=12) about 24 MB for 747 moduli.  A D = 0
-    table has no modulus and an empty map.
+    A_k mod moduli[i] and values[i][k] that of f(A_k) mod moduli[i].
+    Reduction mod P is F_p-linear, so the map reduces all entries at once:
+    coordinate pos of every entry is packed into one column int, one slot
+    per entry, and each residue coordinate is a sum of small multiples of
+    columns (`residues.RemainderTree.index_arrays`).  By the slot rule a slot
+    of s bytes holds a sum of e*L products below (p-1)^2 for entries of
+    degree < L; over characteristic 2 it is one bit and sums are XOR.  The
+    inputs' columns depend only on (q, D), the base-p digits of k, so
+    inputs need no division; values go down a RemainderTree of all the
+    moduli only to its stop level, the highest whose nodes N keep the cost
+    bound e*deg N <= 1023.  Residues are kept as indices, below q^D, in one
+    array per modulus of the narrowest type that holds them (a byte each
+    when q^D <= 256, two bytes up to 65536), written straight from the
+    packed index column.  The map still holds 2 * q^(D+1) indices per
+    modulus at once, so it grows with the number of moduli times the
+    domain: at (q=2, D=12) about 24 MB for 747 moduli.  A D = 0 table has no
+    modulus and an empty map.
     """
 
     __slots__ = ("moduli", "inputs", "values")
@@ -230,18 +241,17 @@ class ResidueMap:
         mods = []
         for d in range(1, table.D + 1):
             mods.extend(enumerate_monic_irreducibles(table.field, d))
-        code = index_code(table.field.q ** table.D)  # residues lie below it
         self.moduli = tuple(mods)
-        self.inputs = tuple(array(code) for _ in mods)
-        self.values = tuple(array(code) for _ in mods)
         if not mods:
+            self.inputs = self.values = ()
             return
+        # imported here, so that a start-up that builds no map skips it
+        from .residues import RemainderTree
+        code = index_code(table.field.q ** table.D)  # residues lie below it
         tree = RemainderTree(mods)
-        for a, v in table.items():
-            for col, r in zip(self.inputs, tree.indices(a)):
-                col.append(r)
-            for col, r in zip(self.values, tree.indices(v)):
-                col.append(r)
+        self.inputs = tuple(tree.domain_index_arrays(table.D, code))
+        self.values = tuple(tree.index_arrays([v for _, v in table.items()],
+                                              code))
 
 
 def _p3_scan_modulus(keys, vals) -> list[tuple[int, int]]:

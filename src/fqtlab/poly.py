@@ -18,8 +18,9 @@ picks the kernel by field kind, one routine per job: `_kmul` multiplies,
 whether a division takes its quotient from a Newton inverse, and
 `Poly._wrap` the only way back to a Poly.  `Poly.__mul__`, `**`, `scaled`,
 `Modulus`, `poly_gcd` (over GF(2) and extension fields), `CRTBasis.lift` and
-`RemainderTree` all go through it; `Poly.__divmod__` is the only path that
-returns a quotient.  The results never depend on the kernel chosen.
+`residues.RemainderTree` all go through it; `Poly.__divmod__` is the only
+path that returns a quotient.  The results never depend on the kernel
+chosen.
 
 GF(2) forms multiply and reduce by shifts and XOR at every length.  Other
 prime fields run loops on plain ints, reduced mod p once at the end; once
@@ -50,10 +51,8 @@ unreduced slots (`_gcd_p`).
 `CRTBasis` lifts residues in Kronecker form: each cofactor M/P_i is packed
 into one int once per basis, with a block of 2e-1 slots per coefficient of
 t, and a lift sums the products of the short c_i with those ints and
-unpacks the sum once.  `RemainderTree` reduces one polynomial mod every
-modulus of a fixed list at once: it descends the subproduct tree of the
-moduli, one `Modulus` per node, so the division work of all moduli is
-shared by one descent.
+unpacks the sum once.  `residues.RemainderTree` reduces many polynomials
+mod every modulus of a fixed list at once, on the same kernel layer.
 """
 
 from __future__ import annotations
@@ -972,56 +971,6 @@ def crt(residues, moduli) -> Poly:
     if not isinstance(moduli, CRTBasis):
         moduli = CRTBasis(moduli)
     return moduli.lift(residues)
-
-
-class RemainderTree:
-    """x mod P_i for every modulus of one fixed list, by one tree descent.
-
-    Level 0 of the subproduct tree holds the moduli, and each level above
-    holds the products of adjacent pairs below it, an odd last node carried
-    up as is; node i of a level has parent i >> 1.  `indices` takes x mod the
-    root, then each remainder mod the children of its node, down to the
-    leaves (MCA section 10.1).  A division is skipped where the remainder
-    already has lower degree than the node, so short inputs cost little.
-    Each node is a `Modulus` for the longest quotient k its parent's
-    remainder leaves: over odd p a non-root node whose division work k*deg
-    reaches _NEWTON_MIN_WORK keeps the Newton inverse of its reversal, built
-    once and shared by every x reduced.  Timed on the residue map of the
-    (q=3, D=5) counterexample, the inverses cut its build from about 2.3 s to 1.5 s,
-    with any threshold from 100 to 3000 alike; at D=4 they save about 2 %
-    of the `construct` benchmark's wall time.
-    """
-
-    __slots__ = ("field", "_levels")
-
-    def __init__(self, moduli):
-        moduli = _nonzero_moduli(moduli)
-        self.field = moduli[0].field
-        levels = [moduli]
-        while len(levels[-1]) > 1:
-            below = levels[-1]
-            levels.append([below[i] * below[i + 1] if i + 1 < len(below)
-                           else below[i] for i in range(0, len(below), 2)])
-        # a remainder mod the parent leaves a quotient of at most k terms;
-        # the root takes x of any length and keeps none
-        self._levels = [
-            [Modulus(m, levels[j + 1][i >> 1].deg - m.deg
-                     if j + 1 < len(levels) else 0)
-             for i, m in enumerate(level)]
-            for j, level in enumerate(levels)]
-
-    def indices(self, x: Poly) -> list:
-        """[(x mod P_i).index() for each modulus P_i], in the order given,
-        without building the residues as polynomials."""
-        F = self.field
-        if x.field != F:
-            raise ValueError("mixed-field polynomial operation")
-        rems = [x._kernel()]
-        for level in reversed(self._levels):
-            rems = [_krem(rems[i >> 1], node._m, F, node._newton)
-                    for i, node in enumerate(level)]
-        # over GF(2) the remainders are their own indices: no call per leaf
-        return rems if F.q == 2 else [_kindex(r, F) for r in rems]
 
 
 # -- text formats ----------------------------------------------------------------

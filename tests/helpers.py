@@ -1,9 +1,10 @@
-"""Tables shared by the test suite, the RatFunc reference for K[X], and the
-factor-based p-th root in F_q(t)."""
+"""Tables shared by the test suite, the per-entry residue reference, the
+RatFunc reference for K[X], and the factor-based p-th root in F_q(t)."""
 
 from fqtlab import (FuncTable, RatFunc, crt, enumerate_monic_irreducibles,
                     factor, irreducible_product)
-from fqtlab.poly import Poly, poly_gcd, polys_up_to
+from fqtlab.poly import Poly, _kindex, _krem, poly_gcd, polys_up_to
+from fqtlab.residues import RemainderTree
 
 
 def forced_table(field, D, c1, rng):
@@ -36,6 +37,44 @@ def forced_table(field, D, c1, rng):
                       if c.is_zero() or c.deg <= q ** n - 1]
         values[a] = rng.choice(admissible)
     return FuncTable(field, D, values)
+
+
+# -- per-entry residue reference ----------------------------------------------
+# The library reduces many polynomials at once: down a RemainderTree to its
+# stop level, then by linear maps on packed columns.  This is the routine it
+# replaced: one polynomial down the whole tree, one remainder per node.
+
+
+def tree_indices(tree, x):
+    """[(x mod P_i).index() for each modulus P_i of the tree], by one
+    descent of every level, without building the residues as Polys."""
+    F = tree.field
+    if x.field != F:
+        raise ValueError("mixed-field polynomial operation")
+    rems = [x._kernel()]
+    for level in reversed(tree._levels):
+        rems = [_krem(rems[i >> 1], node._m, F, node._newton)
+                for i, node in enumerate(level)]
+    # over GF(2) the remainders are their own indices
+    return rems if F.q == 2 else [_kindex(r, F) for r in rems]
+
+
+def reference_residue_map(table):
+    """(moduli, inputs, values) as ResidueMap lays them out, as lists, with
+    every input and every value sent down the whole tree on its own."""
+    mods = [p for d in range(1, table.D + 1)
+            for p in enumerate_monic_irreducibles(table.field, d)]
+    if not mods:
+        return (), [], []
+    tree = RemainderTree(mods)
+    inputs = [[] for _ in mods]
+    values = [[] for _ in mods]
+    for a, v in table.items():
+        for col, r in zip(inputs, tree_indices(tree, a)):
+            col.append(r)
+        for col, r in zip(values, tree_indices(tree, v)):
+            col.append(r)
+    return tuple(mods), inputs, values
 
 
 # -- RatFunc reference for K[X] --------------------------------------------------

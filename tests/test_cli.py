@@ -693,16 +693,28 @@ def test_dn_over_the_degree_budget_is_refused(capsys):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no limit on int-to-str conversion")
-def test_envelope_errors_end_in_one_line(capsys):
+def test_envelope_errors_end_in_one_line(capsys, monkeypatch):
     # a report whose ints exceed the interpreter's str conversion limit
-    # fails while the envelope is written: one error line, no traceback
+    # fails while the envelope is written: one error line, no traceback.
+    # dn refuses an n whose bounds would pass the limit before the work, so
+    # the report's oversized int is a d_n of 5,001 digits from a patched
+    # degree_sum, and the error is the one json raises on it
+    calls = []
+
+    def huge_degree_sum(q, n):
+        calls.append((q, n))
+        return 10 ** 5000
+
+    monkeypatch.setattr("fqtlab.cli.degree_sum", huge_degree_sum)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        code, out, err = run_cli(capsys, "dn", "--q", "2", "--n", "15000")
+        code, out, err = run_cli(capsys, "dn", "--q", "2", "--n", "3")
     finally:
         sys.set_int_max_str_digits(limit)
+    assert calls == [(2, 3)]
     assert_one_error_line("dn", code, out, err)
+    assert "integer string conversion" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,10 @@ from fqtlab import FiniteField, Poly, factor, is_irreducible, poly_xgcd
 from fqtlab.factor import squarefree_decomposition
 from fqtlab.poly import (_KRON_MIN_WORK, _NEWTON_MIN_WORK,
                          _NEWTON_ONCE_MIN_LEN, _NEWTON_ONCE_MIN_WORK, Modulus,
-                         RemainderTree, _newton_inverse)
+                         _newton_inverse)
+from fqtlab.residues import RemainderTree
+
+from helpers import tree_indices
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -76,18 +79,44 @@ def test_divmod_matches_gf_div(inst):
         galoistools.gf_div(to_gf(a), to_gf(b), F.p, ZZ))
 
 
+def gf_index(x, m, p):
+    """The index of x mod m by gf_rem, which lists coefficients from the
+    top: read them as base-p digits."""
+    return sum(c * p ** i for i, c in enumerate(reversed(
+        galoistools.gf_rem(to_gf(x), to_gf(m), p, ZZ))))
+
+
+def check_tree(tree, moduli, xs):
+    """The per-entry reference matches gf_rem on every x, and so do the
+    tree's arrays wherever an index fits an array type."""
+    p = moduli[0].field.p
+    expected = [[gf_index(x, m, p) for m in moduli] for x in xs]
+    assert [tree_indices(tree, x) for x in xs] == expected
+    if p ** max(m.deg for m in moduli) <= 1 << 64:
+        arrays = tree.index_arrays(xs, "Q")
+        assert [list(r) for r in zip(*arrays)] == expected
+
+
 @given(st.sampled_from(PRIMES).flatmap(lambda p: st.tuples(
     st.lists(poly_over(FIELDS[p], 30, nonzero=True), min_size=1, max_size=9),
     poly_over(FIELDS[p], 4 * MAX_LEN))))
 @settings(max_examples=80, deadline=None)
 def test_remainder_tree_matches_gf_rem(inst):
     moduli, x = inst
-    F = x.field
-    # gf_rem lists coefficients from the top: read them as base-p digits
-    assert RemainderTree(moduli).indices(x) == [
-        sum(c * F.p ** i for i, c in enumerate(reversed(
-            galoistools.gf_rem(to_gf(x), to_gf(m), F.p, ZZ))))
-        for m in moduli]
+    check_tree(RemainderTree(moduli), moduli, [x, x * x])
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_remainder_tree_arrays_with_slots_past_eight_bytes(p):
+    # linear and quadratic moduli keep every index in 64 bits while a slot
+    # of the column map, e*L*(p-1)^2, needs nine bytes or more
+    F = FiniteField(p)
+    rng = random.Random(p)
+    moduli = [Poly(F, [rng.randrange(p) for _ in range(d)] + [1])
+              for d in (1, 1, 2, 1, 2) if p ** d <= 1 << 64]
+    xs = [Poly(F, [rng.randrange(p) for _ in range(n)])
+          for n in (0, 1, 2, 3, 8, 40, 41)]
+    check_tree(RemainderTree(moduli), moduli, xs)
 
 
 # gf_pow_mod returns 1 for k = 0 even modulo a constant, so b has degree >= 1;
@@ -152,26 +181,25 @@ def test_shared_modulus_powmod_matches_gf_pow_mod(p, deg):
 
 
 @pytest.mark.parametrize("p", NEWTON_PRIMES)
-def test_remainder_tree_matches_gf_rem_around_the_newton_rule(p):
+def test_remainder_tree_matches_gf_rem_around_the_newton_rule(p, monkeypatch):
     # node i keeps a Newton inverse once (parent degree - its degree) times
     # its degree reaches _NEWTON_MIN_WORK: these moduli put nodes on both
-    # sides, so both division kernels of the descent meet the oracle
+    # sides, so both division kernels of the descent meet the oracle; a
+    # cost bound of 0 makes the tree descend to its leaves
+    monkeypatch.setattr("fqtlab.residues._COLUMN_MAX_LEN", 0)
     F = FIELDS[p]
     rng = random.Random(p)
     moduli = [Poly(F, [rng.randrange(p) for _ in range(d)]
                    + [rng.randrange(1, p)])
               for d in (3, 9, NEWTON_DEG - 1, NEWTON_DEG, 40)]
     tree = RemainderTree(moduli)
+    assert tree._stop == 0
     newton = [node._newton is not None
               for level in tree._levels for node in level]
     assert any(newton) and not all(newton)
     total = sum(m.deg for m in moduli)
-    for n in (0, 5, total, 2 * total + 3):
-        x = Poly(F, [rng.randrange(p) for _ in range(n)])
-        assert tree.indices(x) == [
-            sum(c * p ** i for i, c in enumerate(reversed(
-                galoistools.gf_rem(to_gf(x), to_gf(m), p, ZZ))))
-            for m in moduli]
+    check_tree(tree, moduli, [Poly(F, [rng.randrange(p) for _ in range(n)])
+                              for n in (0, 5, total, 2 * total + 3)])
 
 
 @pytest.mark.parametrize("p", NEWTON_PRIMES)

@@ -1,4 +1,5 @@
-"""RemainderTree.indices against one direct division per modulus."""
+"""RemainderTree.index_arrays against one direct division per modulus, and
+the per-entry reference in helpers against the same."""
 
 import random
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqtlab import FiniteField, Poly, enumerate_monic_irreducibles
-from fqtlab.poly import RemainderTree
+from fqtlab.functable import index_code
+from fqtlab.residues import RemainderTree
+
+from helpers import tree_indices
 
 FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(2, 2)]
 # degrees up to which the irreducibles give a tree of several levels; over
@@ -26,8 +30,15 @@ def random_poly(field, rng, deg):
     return Poly(field, cs + [rng.randrange(1, field.q)])
 
 
-def check(tree, moduli, x):
-    assert tree.indices(x) == [(x % m).index() for m in moduli]
+def check(tree, moduli, xs):
+    """Both the tree's arrays and the per-entry reference give every
+    residue index of every x."""
+    xs = list(xs)
+    expected = [[(x % m).index() for x in xs] for m in moduli]
+    code = index_code(moduli[0].field.q ** max(m.deg for m in moduli))
+    assert [list(col) for col in tree.index_arrays(xs, code)] == expected
+    assert [tree_indices(tree, x) for x in xs] == [list(r)
+                                                   for r in zip(*expected)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda F: "F%d" % F.q)
@@ -45,8 +56,27 @@ def test_indices_match_direct_remainders(field):
         xs += [random_poly(field, rng, d) for d in range(low)]  # below all
         xs += [random_poly(field, rng, d) for d in (top - 1, top, top + 1)]
         xs += [random_poly(field, rng, 3 * top + 7) for _ in range(3)]
-        for x in xs:
-            check(tree, moduli, x)
+        check(tree, moduli, xs)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda F: "F%d" % F.q)
+def test_every_stop_level_matches_direct_remainders(field, monkeypatch):
+    # a cost bound at each level's largest e*deg stops the descent there,
+    # so the arrays run the divisions of every level, Newton nodes included
+    rng = random.Random(field.q + 1)
+    moduli = irreducibles_up_to(field, DEGREES[field.q])
+    top = sum(m.deg for m in moduli)
+    xs = [random_poly(field, rng, d) for d in (-1, 0, 3, top // 2, top - 1,
+                                               top, 2 * top + 3)]
+    levels = RemainderTree(moduli)._levels
+    stops = set()
+    for level in levels:
+        bound = field.e * max(node.poly.deg for node in level)
+        monkeypatch.setattr("fqtlab.residues._COLUMN_MAX_LEN", bound)
+        tree = RemainderTree(moduli)
+        stops.add(tree._stop)
+        check(tree, moduli, xs)
+    assert stops == set(range(len(levels)))
 
 
 def test_odd_p_tree_keeps_newton_inverses():
@@ -65,7 +95,7 @@ def test_indices_with_arbitrary_nonzero_moduli():
     m = Poly(F, [1, 2, 3])
     moduli = [m, m, m.scaled(3), Poly.constant(F, 4), m * m,
               Poly(F, [0, 0, 0, 2])]
-    check(RemainderTree(moduli), moduli, x)
+    check(RemainderTree(moduli), moduli, [x])
 
 
 def test_rejects_bad_input():
@@ -75,7 +105,9 @@ def test_rejects_bad_input():
     with pytest.raises(ZeroDivisionError):
         RemainderTree([Poly.gen(F2), Poly.zero(F2)])
     with pytest.raises(ValueError):
-        RemainderTree([Poly.gen(F2)]).indices(Poly.gen(F3))
+        RemainderTree([Poly.gen(F2)]).index_arrays([Poly.gen(F3)], "B")
+    with pytest.raises(ValueError):
+        tree_indices(RemainderTree([Poly.gen(F2)]), Poly.gen(F3))
 
 
 @st.composite
@@ -94,4 +126,4 @@ def test_indices_property(case, power):
     x = factors[0] ** (power + 1)
     for f in factors[1:]:
         x = x * f + f
-    check(RemainderTree(moduli), moduli, x)
+    check(RemainderTree(moduli), moduli, [x, x * x, Poly.zero(x.field)])
