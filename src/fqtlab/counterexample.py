@@ -16,9 +16,10 @@ from its parent's, a level at a time, and no input is divided.  The residue
 g(rp) mod P depends only on P and rp = B mod P, so it is reduced once,
 remainder-only by P's `Modulus`, and kept for every later row with the same
 pair.  Certification reads its residues from the table's ResidueMap
-instead, which reduces every input and value at once by F_p-linear maps on
-packed columns, so the two stay independent: step tables and `Modulus`
-remainders build, linear maps check.
+instead, which takes each value once mod the product of all the moduli and
+then reduces every input and value at once by F_p-linear maps on packed
+columns, so the two stay independent: step tables and `Modulus` remainders
+build, one product remainder and linear maps check.
 
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.  Certification builds the table's ResidueMap once:

@@ -10,10 +10,10 @@ bytes.
 The congruence check reads a ResidueMap: the residue, as an index, of every
 input and every value mod every monic irreducible of degree <= D.  The map
 reduces all entries at once, as F_p-linear maps on packed columns of their
-coordinates (`residues.RemainderTree.index_arrays`): values go down a
-RemainderTree of all those moduli only to its stop level, and inputs need
-no descent at all.  A caller that needs the residues too (certification)
-builds the map once and passes it in.
+coordinates (`residues.index_arrays`): each value is first reduced mod the
+product of all those moduli, and inputs need no division at all.  A caller
+that needs the residues too (certification) builds the map once and passes
+it in.
 """
 
 from __future__ import annotations
@@ -220,19 +220,19 @@ class ResidueMap:
     Reduction mod P is F_p-linear, so the map reduces all entries at once:
     coordinate pos of every entry is packed into one column int, one slot
     per entry, and each residue coordinate is a sum of small multiples of
-    columns (`residues.RemainderTree.index_arrays`).  By the slot rule a slot
-    of s bytes holds a sum of e*L products below (p-1)^2 for entries of
-    degree < L; over characteristic 2 it is one bit and sums are XOR.  The
-    inputs' columns depend only on (q, D), the base-p digits of k, so
-    inputs need no division; values go down a RemainderTree of all the
-    moduli only to its stop level, the highest whose nodes N keep the cost
-    bound e*deg N <= 1023.  Residues are kept as indices, below q^D, in one
-    array per modulus of the narrowest type that holds them (a byte each
-    when q^D <= 256, two bytes up to 65536), written straight from the
-    packed index column.  The map still holds 2 * q^(D+1) indices per
-    modulus at once, so it grows with the number of moduli times the
-    domain: at (q=2, D=12) about 24 MB for 747 moduli.  A D = 0 table has no
-    modulus and an empty map.
+    columns (`residues.index_arrays`).  By the slot rule a slot of s bytes
+    holds a sum of e*L products below (p-1)^2 for entries of degree < L;
+    over characteristic 2 it is one bit and sums are XOR.  The inputs'
+    columns depend only on (q, D), the base-p digits of k, so inputs need
+    no division; a value is divided once, by M, the product of all the
+    moduli, and only when deg f(A_k) >= deg M = dsum(D), so a
+    counterexample's values leave quotients of one term at most.  Residues
+    are kept as indices, below q^D, in one array per modulus of the
+    narrowest type that holds them (a byte each when q^D <= 256, two bytes
+    up to 65536), written straight from the packed index column.  The map
+    still holds 2 * q^(D+1) indices per modulus at once, so it grows with
+    the number of moduli times the domain: at (q=2, D=12) about 24 MB for
+    747 moduli.  A D = 0 table has no modulus and an empty map.
     """
 
     __slots__ = ("moduli", "inputs", "values")
@@ -246,21 +246,20 @@ class ResidueMap:
             self.inputs = self.values = ()
             return
         # imported here, so that a start-up that builds no map skips it
-        from .residues import RemainderTree
+        from .residues import domain_index_arrays, index_arrays
         code = index_code(table.field.q ** table.D)  # residues lie below it
-        tree = RemainderTree(mods)
-        self.inputs = tuple(tree.domain_index_arrays(table.D, code))
-        self.values = tuple(tree.index_arrays([v for _, v in table.items()],
-                                              code))
+        self.inputs = tuple(domain_index_arrays(mods, table.D, code))
+        self.values = tuple(index_arrays(mods, [v for _, v in table.items()],
+                                         code))
 
 
 def _p3_scan_modulus(keys, vals) -> list[tuple[int, int]]:
     """(k, base) for each domain index k whose value disagrees with that of
-    the least index `base` in its residue class; classes are `keys`."""
-    # written from the top down, the least index of each class lands last
-    base = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    return [(k, base[key]) for k, (key, v) in enumerate(zip(keys, vals))
-            if v != vals[base[key]]]
+    the least index `base` in its residue class; classes are `keys`.  The
+    modulus has degree <= D, so the least member of a class is the residue
+    itself, in the domain: base is the key."""
+    return [(k, key) for k, (key, v) in enumerate(zip(keys, vals))
+            if v != vals[key]]
 
 
 def verify_p3(table: FuncTable, max_violations: int = 100,

@@ -18,7 +18,7 @@ picks the kernel by field kind, one routine per job: `_kmul` multiplies,
 whether a division takes its quotient from a Newton inverse, and
 `Poly._wrap` the only way back to a Poly.  `Poly.__mul__`, `**`, `scaled`,
 `Modulus`, `poly_gcd` (over GF(2) and extension fields), `CRTBasis.lift` and
-`residues.RemainderTree` all go through it; `Poly.__divmod__` is the only
+`residues.index_arrays` all go through it; `Poly.__divmod__` is the only
 path that returns a quotient.  The results never depend on the kernel
 chosen.
 
@@ -38,11 +38,11 @@ the codes: XOR over characteristic 2, plain ints mod p over other prime
 fields, the tables otherwise; a difference is a sum with the negation.
 
 `Modulus(P, k)` is the one prepared modulus, after NTL's zz_pXModulus:
-`Poly.powmod` runs `_kpow` on one, `CRTBasis` keeps one per modulus and
-`RemainderTree` one per node.  A caller raising many residues to powers mod
-one P (`factor`'s distinct-degree split, Rabin's test, equal-degree
-splitting) builds it once and passes it instead of P, and `a % Modulus(P, k)`
-reduces a mod P without building the quotient `a % P` would.
+`Poly.powmod` runs `_kpow` on one and `CRTBasis` keeps one per modulus.  A
+caller raising many residues to powers mod one P (`factor`'s distinct-degree
+split, Rabin's test, equal-degree splitting) builds it once and passes it
+instead of P, and `a % Modulus(P, k)` reduces a mod P without building the
+quotient `a % P` would.
 
 `poly_gcd` runs all of Euclid on kernel forms and builds one Poly at the
 end; over odd p it packs each operand once into a Kronecker form with
@@ -51,7 +51,7 @@ unreduced slots (`_gcd_p`).
 `CRTBasis` lifts residues in Kronecker form: each cofactor M/P_i is packed
 into one int once per basis, with a block of 2e-1 slots per coefficient of
 t, and a lift sums the products of the short c_i with those ints and
-unpacks the sum once.  `residues.RemainderTree` reduces many polynomials
+unpacks the sum once.  `residues.index_arrays` reduces many polynomials
 mod every modulus of a fixed list at once, on the same kernel layer.
 """
 
@@ -396,8 +396,8 @@ class Modulus:
     so every such reduction is two products (after NTL's zz_pXModulus).
     k defaults to deg P - 1, the longest quotient a product of two residues
     leaves.  `Poly.powmod` runs on one: pass a Modulus instead of P to share
-    its set-up among many powers mod P.  `CRTBasis` keeps one per modulus
-    and `RemainderTree` one per node.  Like Poly it is immutable.
+    its set-up among many powers mod P.  `CRTBasis` keeps one per modulus.
+    Like Poly it is immutable.
     """
 
     __slots__ = ("poly", "_m", "_newton")
@@ -901,13 +901,15 @@ def _nonzero_moduli(moduli) -> list:
 class CRTBasis:
     """Chinese-remainder data for one list of pairwise coprime moduli P_i.
 
-    Built once, lifted many times: the constructor checks coprimality and
-    stores, for each P_i, its `Modulus`, u_i = C_i^(-1) mod P_i and the
-    cofactor C_i = M/P_i (M = prod P_i), packed once into the Kronecker form
-    above.  `lift` takes each short c_i = r_i*u_i mod P_i on kernel forms
-    (`_kmul`, `_krem` with the Modulus's data), adds c_i*C_i into one packed int and
-    unpacks that once: no Poly is built per modulus and no field method is
-    called per coefficient.  An odd-p slot of the sum adds at most
+    Built once, lifted many times: the constructor stores, for each P_i,
+    its `Modulus`, u_i = C_i^(-1) mod P_i and the cofactor C_i = M/P_i
+    (M = prod P_i), packed once into the Kronecker form above.  The xgcd
+    that gives u_i checks coprimality too: gcd(C_i mod P_i, P_i) is 1 iff
+    P_i is coprime to every other modulus.  `lift` takes each short
+    c_i = r_i*u_i mod P_i on kernel forms (`_kmul`, `_krem` with the
+    Modulus's data), adds c_i*C_i into one packed int and unpacks that once:
+    no Poly is built per modulus and no field method is called per
+    coefficient.  An odd-p slot of the sum adds at most
     deg M * e products of two coordinates (c_i has deg P_i terms, and a
     slot pairs up at most e coordinates), so slots sized for that bound
     never carry.
@@ -917,22 +919,24 @@ class CRTBasis:
 
     def __init__(self, moduli):
         moduli = _nonzero_moduli(moduli)
-        for i in range(len(moduli)):
-            for j in range(i + 1, len(moduli)):
-                if poly_gcd(moduli[i], moduli[j]).deg > 0:
-                    raise NotCoprime(
-                        "moduli %d and %d share a nonconstant factor" % (i, j),
-                        (i, j))
         F = moduli[0].field
         total = Poly.one(F)
         for m in moduli:
             total = total * m
         s = 1 if F.p == 2 else _slot_bytes(total.deg * F.e, F.p)
         terms = []
-        for m in moduli:
+        for i, m in enumerate(moduli):
             cof = total // m
             # a unit modulus gets u = 0: every residue is congruent mod it
-            _, u, _ = poly_xgcd(cof % m, m)
+            g, u, _ = poly_xgcd(cof % m, m)
+            if g.deg > 0:
+                # P_i shares a factor with some other P_j; i is the least
+                # index in any such pair, so the partner is j > i
+                j = next(j for j in range(i + 1, len(moduli))
+                         if poly_gcd(m, moduli[j]).deg > 0)
+                raise NotCoprime(
+                    "moduli %d and %d share a nonconstant factor" % (i, j),
+                    (i, j))
             terms.append((Modulus(m), u._kernel(),
                           _blocks_pack(cof._kernel(), F, s)))
         self.modulus = total

@@ -1,11 +1,12 @@
 """Residues of many polynomials mod every modulus of a fixed list at once.
 
-`RemainderTree` reduces a list of polynomials mod every modulus: each
-polynomial descends the subproduct tree of the moduli, one `Modulus` per
-node, down to a stop level, so the division work of all moduli is shared,
-and below it reduction is one F_p-linear map per modulus on packed columns
-of all the polynomials at once.  `functable.ResidueMap` reads its residue
-indices from it.
+`index_arrays` reduces a list of polynomials mod every modulus P_i: x mod
+P_i is (x mod M) mod P_i for M the product of the moduli, so each x is
+divided once, by M, and only when deg x >= deg M; then reduction mod every
+P_i is one F_p-linear map on packed columns of all the remainders at once.
+`domain_index_arrays` maps every polynomial of degree <= D the same way,
+with no division and no Poly.  `functable.ResidueMap` reads its residue
+indices from them.
 
 F_q[t]/(P), deg P = d, is F_p^(e*d): coordinate e*i+b of a residue is
 coordinate b (base-p digit b of the code) of its coefficient of t^i, so the
@@ -29,7 +30,7 @@ from functools import lru_cache, reduce
 from itertools import compress
 from operator import mul, xor
 
-from .poly import (_SWAP, Modulus, _block_tables, _krem, _kron_pack,
+from .poly import (_SWAP, _block_tables, _krem, _kron_pack,
                    _kron_slots, _nonzero_moduli, _pack2, _slot_bytes,
                    _unpack2)
 
@@ -118,8 +119,8 @@ def _index_array(rows, cols, F, s: int, n: int, code: str) -> array:
     return out
 
 
-def _leaf_arrays(parts, leaves, F, n: int, code: str) -> list:
-    """The index arrays of n polynomials mod each leaf (a `Modulus`), from
+def _mapped_arrays(parts, moduli, F, n: int, code: str) -> list:
+    """The index arrays of n polynomials mod each of the moduli, from
     their coordinates: parts[e*i+b] lists, for each byte u of a code, the n
     bytes u of coordinate b of their coefficients of t^i.  Over
     characteristic 2 a column holds one bit per polynomial and sums are
@@ -128,121 +129,49 @@ def _leaf_arrays(parts, leaves, F, n: int, code: str) -> list:
     cols = [_pack2(part[0]) if F.p == 2 else _slots(part, s)
             for part in parts]
     L = len(parts) // F.e
-    return [_index_array(_column_map(leaf._m, L, F), cols, F, s, n, code)
-            for leaf in leaves]
+    return [_index_array(_column_map(P._kernel(), L, F), cols, F, s, n, code)
+            for P in moduli]
 
 
-# The cost bound on the stop level of a RemainderTree: a stop node N maps
-# to its leaves in up to (e*deg N)^2 column products.  Timed on the
-# residue maps of the counterexamples from (q, D) = (2, 7) to (5, 4), bounds
-# of 1023 and up ran alike except at (2, 10), where the map outgrew the
-# divisions it saved; 255 ran 10x as long at (4, 4), where its stop level
-# left every value to divide.
-_COLUMN_MAX_LEN = 1023
+def index_arrays(moduli, xs, code: str) -> list:
+    """For each modulus P_i in the order given, the array of type code of
+    (x mod P_i).index() for every x of xs, in order."""
+    moduli = _nonzero_moduli(moduli)
+    F = moduli[0].field
+    M = reduce(mul, moduli)
+    m, L = M._kernel(), M.deg
+    w = _coeff_bytes(F)
+    rows = bytearray()  # one row of coefficient codes per x
+    n = 0
+    for x in xs:
+        if x.field != F:
+            raise ValueError("mixed-field polynomial operation")
+        # x mod M; _krem returns x as is when deg x < deg M
+        rows += _coeff_row(_krem(x._kernel(), m, F), L, F, w)
+        n += 1
+    # the maps need columns up to the highest nonzero coefficient
+    digits = _byte_tables(F.p, F.e)[1]
+    zero = bytes(n)
+    codes = [[rows[i * w + u::L * w] for u in range(w)] for i in range(L)]
+    while codes and all(c == zero for c in codes[-1]):
+        codes.pop()
+    if F.e > 1:  # one byte a code, and one column a coordinate
+        codes = [[c[0].translate(digits[b])]
+                 for c in codes for b in range(F.e)]
+    return _mapped_arrays(codes, moduli, F, n, code)
 
 
-class RemainderTree:
-    """x mod P_i for every modulus of one fixed list and many x at once.
-
-    Level 0 of the subproduct tree holds the moduli, and each level above
-    holds the products of adjacent pairs below it, an odd last node carried
-    up as is; node i of a level has parent i >> 1, so the leaves under node
-    i of level j are those l with l >> j = i.  Each node is a `Modulus` for
-    the longest quotient k its parent's remainder leaves: over odd p a
-    non-root node whose division work k*deg reaches _NEWTON_MIN_WORK keeps
-    the Newton inverse of its reversal, built once and shared by every x.
-
-    `index_arrays` takes each x mod the root, then each remainder mod the
-    children of its node (MCA section 10.1), down to the stop level only; a
-    division is skipped where the remainder already has lower degree than
-    the node.  Below it, reduction is linear (see the module docstring):
-    the remainders at each stop node N are packed into columns, one slot
-    per x, and every leaf under N is one map of them.  The stop level
-    is the highest level whose every node N keeps the cost bound
-    e*deg N <= _COLUMN_MAX_LEN, level 0 at least.  The slot rule then sizes
-    each map's slots from L, the length of the longest remainder at N: a
-    wider slot costs the map a byte more per x and column, much less than
-    one more level of divisions.  So descents are short, and few reach a
-    node that keeps an inverse: at the `construct` benchmark's sizes the
-    root is the stop level, and values shorter than it are not divided at
-    all.  `domain_index_arrays` maps every polynomial of degree <= D the
-    same way, with no descent and no Poly.
-    """
-
-    __slots__ = ("field", "_levels", "_stop")
-
-    def __init__(self, moduli):
-        moduli = _nonzero_moduli(moduli)
-        F = self.field = moduli[0].field
-        levels = [moduli]
-        while len(levels[-1]) > 1:
-            below = levels[-1]
-            levels.append([below[i] * below[i + 1] if i + 1 < len(below)
-                           else below[i] for i in range(0, len(below), 2)])
-        # a remainder mod the parent leaves a quotient of at most k terms;
-        # the root takes x of any length and keeps none
-        self._levels = [
-            [Modulus(m, levels[j + 1][i >> 1].deg - m.deg
-                     if j + 1 < len(levels) else 0)
-             for i, m in enumerate(level)]
-            for j, level in enumerate(levels)]
-        # node degrees only grow up the tree: the levels within the cost
-        # bound are the lowest ones
-        self._stop = 0
-        while self._stop + 1 < len(levels) and all(
-                F.e * m.deg <= _COLUMN_MAX_LEN
-                for m in levels[self._stop + 1]):
-            self._stop += 1
-
-    def index_arrays(self, xs, code: str) -> list:
-        """For each modulus P_i in the order given, the array of type code
-        of (x mod P_i).index() for every x of xs, in order."""
-        F = self.field
-        levels = self._levels[self._stop:]
-        degs = [node.poly.deg for node in levels[0]]
-        w = _coeff_bytes(F)
-        rows = bytearray()  # one row of coefficient codes per x
-        n = 0
-        for x in xs:
-            if x.field != F:
-                raise ValueError("mixed-field polynomial operation")
-            rems = [x._kernel()]
-            for level in reversed(levels):
-                rems = [_krem(rems[i >> 1], node._m, F, node._newton)
-                        for i, node in enumerate(level)]
-            rows += b"".join([_coeff_row(r, L, F, w)
-                              for r, L in zip(rems, degs)])
-            n += 1
-        # coefficient i of stop node j starts at byte (off + i) * w of a
-        # row; the map needs columns up to the highest nonzero coefficient
-        step = sum(degs) * w
-        digits = _byte_tables(F.p, F.e)[1]
-        zero = bytes(n)
-        out = []
-        off = 0
-        for j, L in enumerate(degs):
-            codes = [[rows[(off + i) * w + u::step] for u in range(w)]
-                     for i in range(L)]
-            off += L
-            while codes and all(c == zero for c in codes[-1]):
-                codes.pop()
-            if F.e > 1:  # one byte a code, and one column a coordinate
-                codes = [[c[0].translate(digits[b])]
-                         for c in codes for b in range(F.e)]
-            out += _leaf_arrays(codes, self._levels[0][
-                j << self._stop:(j + 1) << self._stop], F, n, code)
-        return out
-
-    def domain_index_arrays(self, D: int, code: str) -> list:
-        """For each modulus P_i in the order given, the array of type code
-        of (A_k mod P_i).index() for every k < q^(D+1), A_k the polynomial
-        of index k.  Coordinate pos of A_k is digit pos of k in base p, so
-        its column is a run of p^pos copies of each digit, repeated."""
-        F = self.field
-        p = F.p
-        n = F.q ** (D + 1)
-        parts = [[b"".join([bytes([c >> 8 * u & 255]) * p ** pos
-                            for c in range(p)]) * (n // p ** (pos + 1))
-                  for u in range(_coeff_bytes(F))]
-                 for pos in range(F.e * (D + 1))]
-        return _leaf_arrays(parts, self._levels[0], F, n, code)
+def domain_index_arrays(moduli, D: int, code: str) -> list:
+    """For each modulus P_i in the order given, the array of type code of
+    (A_k mod P_i).index() for every k < q^(D+1), A_k the polynomial of
+    index k.  Coordinate pos of A_k is digit pos of k in base p, so its
+    column is a run of p^pos copies of each digit, repeated."""
+    moduli = _nonzero_moduli(moduli)
+    F = moduli[0].field
+    p = F.p
+    n = F.q ** (D + 1)
+    parts = [[b"".join([bytes([c >> 8 * u & 255]) * p ** pos
+                        for c in range(p)]) * (n // p ** (pos + 1))
+              for u in range(_coeff_bytes(F))]
+             for pos in range(F.e * (D + 1))]
+    return _mapped_arrays(parts, moduli, F, n, code)

@@ -3,8 +3,7 @@ RatFunc reference for K[X], and the factor-based p-th root in F_q(t)."""
 
 from fqtlab import (FuncTable, RatFunc, crt, enumerate_monic_irreducibles,
                     factor, irreducible_product)
-from fqtlab.poly import Poly, _kindex, _krem, poly_gcd, polys_up_to
-from fqtlab.residues import RemainderTree
+from fqtlab.poly import Poly, poly_gcd, polys_up_to
 
 
 def forced_table(field, D, c1, rng):
@@ -40,39 +39,29 @@ def forced_table(field, D, c1, rng):
 
 
 # -- per-entry residue reference ----------------------------------------------
-# The library reduces many polynomials at once: down a RemainderTree to its
-# stop level, then by linear maps on packed columns.  This is the routine it
-# replaced: one polynomial down the whole tree, one remainder per node.
+# The library reduces many polynomials at once: each mod the product of the
+# moduli, then by linear maps on packed columns.  This reference shares
+# nothing with it: one Poly division per polynomial and modulus.
 
 
-def tree_indices(tree, x):
-    """[(x mod P_i).index() for each modulus P_i of the tree], by one
-    descent of every level, without building the residues as Polys."""
-    F = tree.field
-    if x.field != F:
-        raise ValueError("mixed-field polynomial operation")
-    rems = [x._kernel()]
-    for level in reversed(tree._levels):
-        rems = [_krem(rems[i >> 1], node._m, F, node._newton)
-                for i, node in enumerate(level)]
-    # over GF(2) the remainders are their own indices
-    return rems if F.q == 2 else [_kindex(r, F) for r in rems]
+def direct_indices(moduli, x):
+    """[(x mod P).index() for each modulus P], one Poly division each."""
+    return [(x % m).index() for m in moduli]
 
 
 def reference_residue_map(table):
     """(moduli, inputs, values) as ResidueMap lays them out, as lists, with
-    every input and every value sent down the whole tree on its own."""
+    every input and every value divided by every modulus on its own."""
     mods = [p for d in range(1, table.D + 1)
             for p in enumerate_monic_irreducibles(table.field, d)]
     if not mods:
         return (), [], []
-    tree = RemainderTree(mods)
     inputs = [[] for _ in mods]
     values = [[] for _ in mods]
     for a, v in table.items():
-        for col, r in zip(inputs, tree_indices(tree, a)):
+        for col, r in zip(inputs, direct_indices(mods, a)):
             col.append(r)
-        for col, r in zip(values, tree_indices(tree, v)):
+        for col, r in zip(values, direct_indices(mods, v)):
             col.append(r)
     return tuple(mods), inputs, values
 

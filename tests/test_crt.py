@@ -142,19 +142,57 @@ def test_crt_basis_argument_errors():
 
 def test_build_counterexample_checks_coprimality_once_per_level(monkeypatch):
     # q=2, D=5 has k_n = 2, 3, 5, 8, 14 monic irreducibles of degree <= n;
-    # one basis per level costs C(k_n, 2) gcds there, 133 in all.  A basis
-    # rebuilt per row would cost thousands.
-    calls = []
-    real_gcd = fqtlab.poly.poly_gcd
+    # one basis per level costs one xgcd per modulus there, 32 in all, and
+    # that xgcd, which gives u_i, is the coprimality check: no basis runs a
+    # pairwise gcd.  A basis rebuilt per row would cost thousands.
+    calls = {"gcd": 0, "xgcd": 0}
 
-    def counting_gcd(a, b):
-        calls.append(1)
-        return real_gcd(a, b)
+    def counting(name, real):
+        def count(a, b):
+            calls[name] += 1
+            return real(a, b)
+        return count
 
-    monkeypatch.setattr(fqtlab.poly, "poly_gcd", counting_gcd)
+    monkeypatch.setattr(fqtlab.poly, "poly_gcd",
+                        counting("gcd", fqtlab.poly.poly_gcd))
+    monkeypatch.setattr(fqtlab.poly, "poly_xgcd",
+                        counting("xgcd", fqtlab.poly.poly_xgcd))
     table, trace = build_counterexample(F2, 5)
     assert len(trace.rows) == 62
-    assert len(calls) == 1 + 3 + 10 + 28 + 91 == 133
+    assert calls["gcd"] == 0
+    assert calls["xgcd"] == 2 + 3 + 5 + 8 + 14 == 32
+
+
+def pairwise_scan(moduli):
+    """The first pair (i, j), i < j, of moduli with a nonconstant common
+    factor, by one gcd per pair; None when they are pairwise coprime."""
+    return next(((i, j) for i in range(len(moduli))
+                 for j in range(i + 1, len(moduli))
+                 if poly_gcd(moduli[i], moduli[j]).deg > 0), None)
+
+
+@given(st.sampled_from([F2, F3, F4]).flatmap(lambda field: st.lists(
+    st.lists(st.sampled_from(
+        [m for d in (1, 2) for m in enumerate_monic_irreducibles(field, d)]
+        + [Poly.one(field)]), min_size=1, max_size=3),
+    min_size=1, max_size=7)))
+@settings(max_examples=150, deadline=None)
+def test_not_coprime_pair_matches_the_pairwise_scan(factor_lists):
+    # products of a few small irreducibles, so that shared factors are
+    # common: the basis names the same pair as the pairwise scan
+    moduli = []
+    for factors in factor_lists:
+        m = factors[0]
+        for f in factors[1:]:
+            m = m * f
+        moduli.append(m)
+    want = pairwise_scan(moduli)
+    if want is None:
+        CRTBasis(moduli)
+        return
+    with pytest.raises(NotCoprime) as info:
+        CRTBasis(moduli)
+    assert info.value.pair == want
 
 
 def reference_basis(moduli):

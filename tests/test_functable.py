@@ -1,5 +1,6 @@
 """Function tables: storage, congruence verification, growth profiles."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 import fqtlab.functable
 from fqtlab import (BudgetExceeded, FiniteField, FuncTable, NEG_INF, Poly,
                     TableDomainError, growth_profile, verify_p3)
+from fqtlab.functable import ResidueMap, _p3_scan_modulus
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -83,6 +85,39 @@ def test_verify_p3_detects_corruption():
     assert v.modulus == t
     # the corrupted entry disagrees with the least member of its class mod t
     assert t in {v.a, v.base} or (v.a % t) == (t % t)
+
+
+def dict_scan(keys, vals):
+    """The class scan by a dict of the least index in each class, built
+    from the top down so that the least index lands last."""
+    base = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return [(k, base[key]) for k, (key, v) in enumerate(zip(keys, vals))
+            if v != vals[base[key]]]
+
+
+@pytest.mark.parametrize("field, D", [(F2, 4), (F3, 3), (F4, 2),
+                                      (FiniteField(5), 2)],
+                         ids=["F2", "F3", "F4", "F5"])
+def test_p3_scan_matches_the_dict_scan(field, D):
+    # the residue is the least member of its class, so the scan needs no
+    # dict: on a clean table and on one with a few values changed
+    rng = random.Random(field.q)
+    clean = square_table(field, D)
+    corrupted = clean
+    for k in rng.sample(range(field.q ** (D + 1)), 5):
+        corrupted = corrupted.with_value(
+            Poly.from_index(field, k),
+            Poly.from_index(field, rng.randrange(field.q ** (D + 2))))
+    counts = []
+    for table in (clean, corrupted):
+        residues = ResidueMap(table)
+        count = 0
+        for keys, vals in zip(residues.inputs, residues.values):
+            got = _p3_scan_modulus(keys, vals)
+            assert got == dict_scan(keys, vals)
+            count += len(got)
+        counts.append(count)
+    assert counts[0] == 0 < counts[1]
 
 
 class _SmallPowersOnly(int):

@@ -20,9 +20,9 @@ from fqtlab.factor import squarefree_decomposition
 from fqtlab.poly import (_KRON_MIN_WORK, _NEWTON_MIN_WORK,
                          _NEWTON_ONCE_MIN_LEN, _NEWTON_ONCE_MIN_WORK, Modulus,
                          _newton_inverse)
-from fqtlab.residues import RemainderTree
+from fqtlab.residues import index_arrays
 
-from helpers import tree_indices
+from helpers import direct_indices
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -86,14 +86,14 @@ def gf_index(x, m, p):
         galoistools.gf_rem(to_gf(x), to_gf(m), p, ZZ))))
 
 
-def check_tree(tree, moduli, xs):
+def check_residues(moduli, xs):
     """The per-entry reference matches gf_rem on every x, and so do the
-    tree's arrays wherever an index fits an array type."""
+    arrays of index_arrays wherever an index fits an array type."""
     p = moduli[0].field.p
     expected = [[gf_index(x, m, p) for m in moduli] for x in xs]
-    assert [tree_indices(tree, x) for x in xs] == expected
+    assert [direct_indices(moduli, x) for x in xs] == expected
     if p ** max(m.deg for m in moduli) <= 1 << 64:
-        arrays = tree.index_arrays(xs, "Q")
+        arrays = index_arrays(moduli, xs, "Q")
         assert [list(r) for r in zip(*arrays)] == expected
 
 
@@ -102,8 +102,11 @@ def check_tree(tree, moduli, xs):
     poly_over(FIELDS[p], 4 * MAX_LEN))))
 @settings(max_examples=80, deadline=None)
 def test_remainder_tree_matches_gf_rem(inst):
+    # x and x*x run from below deg M, M the product of the moduli, to far
+    # past it, so the one division, by M, meets the oracle with quotients
+    # of none to many terms
     moduli, x = inst
-    check_tree(RemainderTree(moduli), moduli, [x, x * x])
+    check_residues(moduli, [x, x * x])
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
@@ -116,7 +119,7 @@ def test_remainder_tree_arrays_with_slots_past_eight_bytes(p):
               for d in (1, 1, 2, 1, 2) if p ** d <= 1 << 64]
     xs = [Poly(F, [rng.randrange(p) for _ in range(n)])
           for n in (0, 1, 2, 3, 8, 40, 41)]
-    check_tree(RemainderTree(moduli), moduli, xs)
+    check_residues(moduli, xs)
 
 
 # gf_pow_mod returns 1 for k = 0 even modulo a constant, so b has degree >= 1;
@@ -178,28 +181,6 @@ def test_shared_modulus_powmod_matches_gf_pow_mod(p, deg):
         for k in (0, 1, 2, p, 97, 1000):
             assert to_gf(a.powmod(k, mod)) == galoistools.gf_pow_mod(
                 to_gf(a), k, to_gf(b), p, ZZ)
-
-
-@pytest.mark.parametrize("p", NEWTON_PRIMES)
-def test_remainder_tree_matches_gf_rem_around_the_newton_rule(p, monkeypatch):
-    # node i keeps a Newton inverse once (parent degree - its degree) times
-    # its degree reaches _NEWTON_MIN_WORK: these moduli put nodes on both
-    # sides, so both division kernels of the descent meet the oracle; a
-    # cost bound of 0 makes the tree descend to its leaves
-    monkeypatch.setattr("fqtlab.residues._COLUMN_MAX_LEN", 0)
-    F = FIELDS[p]
-    rng = random.Random(p)
-    moduli = [Poly(F, [rng.randrange(p) for _ in range(d)]
-                   + [rng.randrange(1, p)])
-              for d in (3, 9, NEWTON_DEG - 1, NEWTON_DEG, 40)]
-    tree = RemainderTree(moduli)
-    assert tree._stop == 0
-    newton = [node._newton is not None
-              for level in tree._levels for node in level]
-    assert any(newton) and not all(newton)
-    total = sum(m.deg for m in moduli)
-    check_tree(tree, moduli, [Poly(F, [rng.randrange(p) for _ in range(n)])
-                              for n in (0, 5, total, 2 * total + 3)])
 
 
 @pytest.mark.parametrize("p", NEWTON_PRIMES)

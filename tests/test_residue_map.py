@@ -1,14 +1,14 @@
-"""ResidueMap against the per-entry tree reference, entry for entry.
+"""ResidueMap against the per-entry reference, entry for entry.
 
-The library descends each value only to the tree's stop level and maps the
-rest, and every input, as linear maps on packed residue columns.  The
-reference in helpers sends each input and value down the whole tree on its
-own.  Both must give the same index for every entry and modulus: over
-prime fields with one-byte and wider slots, over extension fields of
-characteristic 2 and 3 (F_9 under both moduli), with one- and two-byte
-index arrays, on counterexample tables and on tables whose values are
-zero, short, or longer than the root, and at every stop level the cost
-bound can give.  galoistools' gf_rem checks a sample of leaves directly.
+The library reduces each value once mod the product of all the moduli and
+maps the remainders, and every input, as linear maps on packed residue
+columns.  The reference in helpers divides each input and value by each
+modulus on its own.  Both must give the same index for every entry and
+modulus: over prime fields with one-byte and wider slots, over extension
+fields of characteristic 2 and 3 (F_9 under both moduli), with one- and
+two-byte index arrays, on counterexample tables and on tables whose values
+are zero, short, or longer than the product.  galoistools' gf_rem checks a
+sample of moduli directly.
 """
 
 import random
@@ -19,7 +19,6 @@ import fqtlab.residues as residues
 from fqtlab import (FiniteField, Poly, build_counterexample,
                     enumerate_monic_irreducibles)
 from fqtlab.functable import FuncTable, ResidueMap
-from fqtlab.residues import RemainderTree
 
 from helpers import reference_residue_map
 
@@ -28,7 +27,8 @@ ZZ = pytest.importorskip("sympy.polys.domains").ZZ
 
 # (field, D): F_17 needs slots of two bytes or more everywhere; F_9 twice,
 # the second with t^2 + t + 2 in place of the default t^2 + 1.  Over odd p
-# the trees reach nodes past the one-byte slot rule, e*L*(p-1)^2 < 256
+# the product of the moduli is long enough to break the one-byte slot rule,
+# e*L*(p-1)^2 < 256
 FIELDS = [(FiniteField(2), 5), (FiniteField(3), 4), (FiniteField(5), 2),
           (FiniteField(7), 2), (FiniteField(17), 1), (FiniteField(2, 2), 2),
           (FiniteField(2, 3), 2), (FiniteField(3, 2), 2),
@@ -49,10 +49,11 @@ def moduli_up_to(field, D):
 
 
 def mixed_table(field, D, rng):
-    """Values of mixed degree: zero, below the smallest modulus, short of
-    the stop nodes, and past the product of all moduli (the root)."""
-    root = sum(p.deg for p in moduli_up_to(field, D))
-    degrees = [-1, 0, 1, D, root // 3, root - 1, root, 2 * root + 5]
+    """Values of mixed degree: zero, below the smallest modulus, below the
+    product M of all moduli, and at and past deg M, so that the division
+    by M leaves quotients of one and of many terms."""
+    top = sum(p.deg for p in moduli_up_to(field, D))
+    degrees = [-1, 0, 1, D, top // 3, top - 1, top, 2 * top + 5]
     return FuncTable.from_function(
         field, D, lambda a: random_poly(field, rng, rng.choice(degrees)))
 
@@ -65,14 +66,6 @@ def assert_matches_reference(table, reference=None):
     assert [list(col) for col in got.values] == values
 
 
-def forcing_caps(field, D):
-    """Cost bounds that put the stop level at each level of the tree of
-    all monic irreducibles of degree <= D."""
-    tree = RemainderTree(moduli_up_to(field, D))
-    return sorted({0} | {field.e * max(node.poly.deg for node in level)
-                         for level in tree._levels})
-
-
 @pytest.mark.parametrize("field, D", FIELDS, ids=IDS)
 def test_counterexample_map_matches_reference(field, D):
     table, _ = build_counterexample(field, D)
@@ -80,12 +73,10 @@ def test_counterexample_map_matches_reference(field, D):
 
 
 @pytest.mark.parametrize("field, D", FIELDS, ids=IDS)
-def test_mixed_degree_map_matches_reference_at_every_stop_level(
-        field, D, monkeypatch):
+def test_mixed_degree_map_matches_reference(field, D, monkeypatch):
     rng = random.Random(field.q * 31 + D)
     table = mixed_table(field, D, rng)
-    reference = reference_residue_map(table)
-    stops, slots = set(), set()
+    slots = set()
     index_array = residues._index_array
 
     def spy(rows, cols, F, s, n, code):
@@ -97,14 +88,10 @@ def test_mixed_degree_map_matches_reference_at_every_stop_level(
         return index_array(rows, cols, F, s, n, code)
 
     monkeypatch.setattr(residues, "_index_array", spy)
-    for cap in forcing_caps(field, D):
-        monkeypatch.setattr(residues, "_COLUMN_MAX_LEN", cap)
-        tree = RemainderTree(moduli_up_to(field, D))
-        stops.add(tree._stop)
-        assert_matches_reference(table, reference)
-    assert stops == set(range(len(tree._levels)))
-    # the slot rule: one byte while e*L*(p-1)^2 < 256, wider past it; over
-    # characteristic 2 a slot is one bit
+    assert_matches_reference(table)
+    # the slot rule by entry degree: the inputs, of degree <= D, take one
+    # byte while e*(D+1)*(p-1)^2 < 256, and the values, which fill all
+    # deg M columns, wider slots; over characteristic 2 a slot is one bit
     if field.p > 2:
         assert (1 in slots) == (field.p < 17)
         assert any(s > 1 for s in slots)
@@ -118,16 +105,6 @@ def test_two_byte_indices_match_reference():
     got = ResidueMap(table)
     assert {col.typecode for col in got.inputs + got.values} == {"H"}
     assert_matches_reference(table)
-
-
-def test_stop_level_keeps_the_cost_bound():
-    # the highest level whose nodes all have e*deg <= _COLUMN_MAX_LEN
-    for field, D in FIELDS + [(FiniteField(2), 9), (FiniteField(3), 5)]:
-        tree = RemainderTree(moduli_up_to(field, D))
-        fits = [all(field.e * node.poly.deg <= residues._COLUMN_MAX_LEN
-                    for node in level) for level in tree._levels]
-        assert fits[:tree._stop + 1] == [True] * (tree._stop + 1)
-        assert tree._stop + 1 == len(fits) or not fits[tree._stop + 1]
 
 
 def gf_index(x, m, p):
