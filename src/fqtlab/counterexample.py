@@ -9,17 +9,21 @@ deg g(B) = dsum(n), inside [q^n, 2*q^n).  All inputs of degree n share the
 same moduli, so one CRT basis is built per degree level and every row of
 that level is lifted through it, in packed form (see `poly.CRTBasis`).
 
-The build reduces nothing it can look up.  Input residues come from one
-step table per modulus (`_step_table`, after table-driven CRC reduction):
+The build reduces nothing by division: every residue comes from one step
+table per modulus (`_step_table`, after table-driven CRC reduction).
 A_k = t*A_(k//q) + (k mod q), so each input's residue index is one look-up
-from its parent's, a level at a time, and no input is divided.  The residue
-g(rp) mod P depends only on P and rp = B mod P, so it is reduced once,
-remainder-only by P's `Modulus`, and kept for every later row with the same
-pair.  Certification reads its residues from the table's ResidueMap
-instead, which takes each value once mod the product of all the moduli and
-then reduces every input and value at once by F_p-linear maps on packed
-columns, so the two stay independent: step tables and `Modulus` remainders
-build, one product remainder and linear maps check.
+from its parent's, a level at a time.  The residue g(rp) mod P depends only
+on P and rp = B mod P, so it is found once per pair and kept for every later
+row with it: the value's coefficients, read from the top, walk P's step
+table to the residue's index (`_residue_walk`; over F_2, F_4 and F_16 a
+byte of the value's index per step, through two small tables derived from
+it, after Sarwate's byte-wise CRC).
+The lift memoises its terms per level (see `poly.CRTBasis`).  Certification
+reads its residues from the table's ResidueMap instead, which takes each
+value once mod the product of all the moduli and then reduces every input
+and value at once by F_p-linear maps on packed columns, so the two stay
+independent: step tables build, one product remainder and linear maps
+check.
 
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.  Certification builds the table's ResidueMap once:
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded, power_exceeds
 from .functable import FuncTable, ResidueMap, index_code, verify_p3
 from .irreducibles import enumerate_monic_irreducibles, irreducible_product
-from .poly import CRTBasis, Modulus, Poly, crt, polys_up_to
+from .poly import CRTBasis, Poly, crt, polys_up_to
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,64 @@ def _step_table(p: Poly) -> array:
     return table
 
 
+def _bytewise(field) -> bool:
+    """Whether value residues walk a byte per step: over characteristic 2,
+    where the index of a sum is the XOR of the indices, when a byte holds
+    whole digits (q = 2, 4, 16 or 256)."""
+    return field.p == 2 and 8 % field.e == 0
+
+
+def _byte_steps(step: array, q: int) -> tuple[array, array]:
+    """(Shift_P, Low_P) from S_P, for a `_bytewise` field with k digits a
+    byte (q^k = 256): Shift_P[j] is the index of A_j*t^k mod P for every
+    j < q^d, and Low_P[b] that of A_b mod P for every byte b, each k steps
+    of S_P.  So (A_j*t^k + A_b) mod P has index Shift_P[j] ^ Low_P[b]."""
+    shift = list(range(len(step) // q))
+    low = [0]
+    while len(low) < 256:
+        shift = [step[j * q] for j in shift]
+        low = [step[j * q + c] for j in low for c in range(q)]
+    return array(step.typecode, shift), array(step.typecode, low)
+
+
+def _walk_digits(field, v: Poly):
+    """What `_residue_walk` reads of a Poly v over field: for a `_bytewise`
+    field the bytes of v's index from the top, else v's coefficients."""
+    if _bytewise(field):
+        x = v.index()
+        return x.to_bytes((x.bit_length() + 7) // 8, "big")
+    return v.coeffs
+
+
+def _residue_walk(field, step: array):
+    """The function taking the `_walk_digits` of a Poly over field to the
+    index of its residue mod P, from P's step table S_P and no division.
+
+    A_(j*q + c) = t*A_j + c, so the coefficients of a value, read from the
+    top, walk j <- S_P[j*q + c] from j = 0 to the residue's index.  For a
+    `_bytewise` field a step takes a byte of the value's index instead of
+    a digit, through `_byte_steps`: j <- Shift_P[j] ^ Low_P[b] (after
+    Sarwate's byte-wise CRC, CACM 31(8), 1988).
+    """
+    q = field.q
+    if _bytewise(field):
+        shift, low = _byte_steps(step, q)
+
+        def walk(digits):
+            j = 0
+            for b in digits:
+                j = shift[j] ^ low[b]
+            return j
+        return walk
+
+    def walk(coeffs):
+        j = 0
+        for c in reversed(coeffs):
+            j = step[j * q + c]
+        return j
+    return walk
+
+
 def build_counterexample(field, D: int,
                          budget: int = DEFAULT_DEGREE_BUDGET
                          ) -> tuple[FuncTable, ConstructionTrace]:
@@ -101,24 +163,24 @@ def build_counterexample(field, D: int,
             % (D, budget))
     q = field.q
     zero = Poly.zero(field)
-    vals = [zero] * q  # vals[k] = g(A_k); constants map to zero
+    # digits[k] = `_walk_digits` of g(A_k); constants map to zero
+    digits = [_walk_digits(field, zero)] * q
     # every residue mod a modulus of degree <= D, by index
     residue_polys = list(polys_up_to(field, D - 1))
     code = index_code(q ** D)
     rows = []
     irreds: list[Poly] = []
-    # per modulus: its step table, its Modulus for the longest quotient a
-    # value at a residue leaves (values at inputs of degree < d have degree
-    # below 2*q^(d-1)), the residue indices of the previous level's inputs,
-    # and memo[r] = vals[r] mod P, shared by every row whose input has
-    # residue index r
-    steps, mods, cols, memos = [], [], [], []
+    # per modulus: its step table, its `_residue_walk`, the residue indices
+    # of the previous level's inputs, and memo[r] = g(A_r) mod P, shared by
+    # every row whose input has residue index r
+    steps, walks, cols, memos = [], [], [], []
     for n in range(1, D + 1):
         new = enumerate_monic_irreducibles(field, n)
         base = q ** n
         irreds.extend(new)
-        steps.extend(_step_table(p) for p in new)
-        mods.extend(Modulus(p, 2 * q ** (n - 1) - n) for p in new)
+        new_steps = [_step_table(p) for p in new]
+        steps.extend(new_steps)
+        walks.extend(_residue_walk(field, s) for s in new_steps)
         # the inputs of degree n - 1 are their own residues mod P of degree n
         cols.extend(range(base // q, base) for _ in new)
         memos.extend([None] * base for _ in new)
@@ -131,14 +193,14 @@ def build_counterexample(field, D: int,
             b = Poly.from_index(field, k)
             pairs = tuple(zip(irreds, map(residue_polys.__getitem__, krs)))
             residues = []
-            for memo, m, kr in zip(memos, mods, krs):
+            for memo, walk, kr in zip(memos, walks, krs):
                 r = memo[kr]
                 if r is None:
-                    r = memo[kr] = residue_polys[(vals[kr] % m).index()]
+                    r = memo[kr] = residue_polys[walk(digits[kr])]
                 residues.append(r)
             r = crt(residues, basis)
             value = r + modulus
-            vals.append(value)
+            digits.append(_walk_digits(field, value))
             rows.append(TraceRow(b=b, residue_pairs=pairs, crt_value=r,
                                  modulus=modulus, value=value))
     values = dict.fromkeys(polys_up_to(field, 0), zero)

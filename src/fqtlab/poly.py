@@ -96,7 +96,9 @@ _NEWTON_ONCE_MIN_WORK = 3000
 # The one bit format of the package: linalg packs its GF(2) rows with
 # `_pack2` too.
 
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# digit characters for codes below 32; `_kindex` reads base 2^e with them
+_TO_DIGITS = bytes.maketrans(bytes(range(32)),
+                             b"0123456789abcdefghijklmnopqrstuv")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -378,10 +380,14 @@ def _kpow(x, k: int, F, reduce=lambda a: a):
 
 
 def _kindex(x, F) -> int:
-    """The index of a kernel form: over GF(2) the packed int itself."""
-    if F.q == 2:
-        return x
+    """The index of a kernel form: over GF(2) the packed int itself, over
+    F_4 to F_32 its codes read as digits in base q (int() reads a base 2^e
+    in linear time, with no digit limit)."""
     q = F.q
+    if q == 2:
+        return x
+    if F.p == 2 and q <= 32:
+        return int(bytes(x[::-1]).translate(_TO_DIGITS) or b"0", q)
     k = 0
     for c in reversed(x):
         k = k * q + c
@@ -520,14 +526,18 @@ class Poly:
     def sort_key(self):
         return (len(self.coeffs), tuple(reversed(self.coeffs)))
 
+    # `is` first: polynomials almost always share one field object, and
+    # FiniteField.__eq__ compares three attributes
+
     def _check_same_field(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed-field polynomial operation")
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return ((self.field is other.field or self.field == other.field)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
@@ -909,7 +919,11 @@ class CRTBasis:
     c_i = r_i*u_i mod P_i on kernel forms (`_kmul`, `_krem` with the
     Modulus's data), adds c_i*C_i into one packed int and unpacks that once:
     no Poly is built per modulus and no field method is called per
-    coefficient.  An odd-p slot of the sum adds at most
+    coefficient.  Each term memoises its packed c_i by r_i's kernel form,
+    for reduced r_i only (deg r_i < deg P_i), so a term holds at most
+    q^deg P_i of them, and a lift whose residues recur costs one look-up,
+    one product and one sum per term; the field check runs before the
+    look-up.  An odd-p slot of the sum adds at most
     deg M * e products of two coordinates (c_i has deg P_i terms, and a
     slot pairs up at most e coordinates), so slots sized for that bound
     never carry.
@@ -938,7 +952,7 @@ class CRTBasis:
                     "moduli %d and %d share a nonconstant factor" % (i, j),
                     (i, j))
             terms.append((Modulus(m), u._kernel(),
-                          _blocks_pack(cof._kernel(), F, s)))
+                          _blocks_pack(cof._kernel(), F, s), {}))
         self.modulus = total
         self._terms = tuple(terms)
         self._slot = s
@@ -952,13 +966,23 @@ class CRTBasis:
         if len(residues) != len(self._terms):
             raise ValueError("residue/modulus count mismatch")
         F, s = self.modulus.field, self._slot
+        # each distinct field object is compared with F once per lift, not
+        # once per term: seen is the last one found equal
+        seen = F
         acc = 0
         # each summand has degree < deg P_i + deg C_i = deg M: no final mod M
-        for r, (m, u, cof) in zip(residues, self._terms):
-            if r.field is not F and r.field != F:
-                raise ValueError("mixed-field polynomial operation")
-            c = _blocks_pack(_krem(_kmul(r._kernel(), u, F), m._m, F,
-                                   m._newton), F, s)
+        for r, (m, u, cof, memo) in zip(residues, self._terms):
+            if r.field is not seen:
+                if r.field != F:
+                    raise ValueError("mixed-field polynomial operation")
+                seen = r.field
+            x = r._kernel()
+            c = memo.get(x)
+            if c is None:
+                c = _blocks_pack(_krem(_kmul(x, u, F), m._m, F, m._newton),
+                                 F, s)
+                if r.deg < m.poly.deg:
+                    memo[x] = c
             if c:
                 acc = acc ^ _mul2(c, cof) if F.p == 2 else acc + c * cof
         return Poly._from_list(
@@ -988,16 +1012,19 @@ def crt(residues, moduli) -> Poly:
 def format_poly_compact(a: Poly) -> str:
     F = a.field
     if F.e == 1:
-        entries = list(a.coeffs)
-    else:
-        entries = [list(F.coords(c)) for c in a.coeffs]
-    return json.dumps(entries, separators=(",", ":"))
+        return json.dumps(a.coeffs, separators=(",", ":"))
+    return "[%s]" % ",".join(map(_coord_strings(F).__getitem__, a.coeffs))
+
+
+@lru_cache(maxsize=None)
+def _coord_strings(F) -> tuple:
+    """The compact text of every element of an extension field F, by code."""
+    return tuple(json.dumps(list(F.coords(c)), separators=(",", ":"))
+                 for c in range(F.q))
 
 
 def _format_coeff(F, c: int) -> str:
-    if F.e == 1:
-        return str(c)
-    return json.dumps(list(F.coords(c)), separators=(",", ":"))
+    return str(c) if F.e == 1 else _coord_strings(F)[c]
 
 
 def format_poly(a: Poly) -> str:

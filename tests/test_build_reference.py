@@ -3,14 +3,17 @@
 `reference_build` is the construction written plainly: per degree level one
 Poly-form CRT basis (`test_crt.reference_basis`), and per row one division
 `values[rp] % P` for every modulus P, each lift summed as Poly.  The
-library takes input residues from step tables, lifts in packed form and
-reduces each (modulus, residue) pair once; its table and every trace row
-must be equal to these.
+library takes input residues from step tables, walks each (modulus,
+residue) pair's value residue through them once and lifts in packed form
+with memoised terms; its table and every trace row must be equal to these.
 """
+
+from collections import Counter
 
 import pytest
 
-from fqtlab import FiniteField, Poly, build_counterexample
+from fqtlab import CRTBasis, FiniteField, Poly, build_counterexample
+from fqtlab import poly as poly_module
 from fqtlab.counterexample import ConstructionTrace, TraceRow
 from fqtlab.functable import FuncTable
 from fqtlab.irreducibles import (count_irreducibles,
@@ -70,17 +73,25 @@ def test_build_division_count(monkeypatch):
     # That is 74 + (64 + 94) = 232 Poly divisions.  poly_gcd runs on packed
     # ints and makes no Poly division.  Its 62 rows hold 632 (row, modulus)
     # pairs: each b mod P is a step-table look-up, no division (it was 632
-    # divisions), and values[rp] mod P is reduced remainder-only by the
-    # modulus's `Modulus`, once per distinct (modulus, rp) pair: 264 of
-    # them, which build no quotient and are not Poly divisions (they were,
-    # for 1,128 in all).  The lifts make no Poly division; per-pair residues
-    # and Poly-form lifts made 3,255, Poly-level Euclid 2,255, and powmod
-    # reducing through Poly division 1,604.
+    # divisions), and values[rp] mod P is walked through P's step table
+    # once per distinct (modulus, rp) pair, 264 of them, so no value is
+    # reduced by a `Modulus`.  The lifts make no Poly division, and
+    # each level's basis reduces r*u mod P once per distinct (modulus,
+    # residue) pair, on kernel forms: 154 memo misses of the 632 pairs.  A
+    # modulus of degree d sees the same value residues at every level n >= d
+    # (they are values at inputs of degree < d), 2, 2, 8, 24 and 64 summed
+    # over the moduli of degree d = 1..5, so the five levels miss
+    # 5*2 + 4*2 + 3*8 + 2*24 + 1*64 = 2 + 4 + 12 + 36 + 100 = 154 times.
+    # Per-pair residues and Poly-form lifts made 3,255 Poly divisions,
+    # Poly-level Euclid 2,255, and powmod reducing through Poly division
+    # 1,604.
     for cached in (enumerate_monic_irreducibles, irreducible_product,
                    count_irreducibles):
         cached.cache_clear()
-    calls, reductions = [], []
+    calls, reductions, misses = [], [], Counter()
+    lifting = []  # the level of the lift in progress, if any
     divmod_, mod_ = Poly.__divmod__, Poly.__mod__
+    lift_, krem_ = CRTBasis.lift, poly_module._krem
 
     def counting_divmod(a, b):
         calls.append(1)
@@ -91,11 +102,30 @@ def test_build_division_count(monkeypatch):
             reductions.append(1)
         return mod_(a, b)
 
+    def tracking_lift(basis, residues):
+        lifting.append(basis.modulus.deg)
+        try:
+            return lift_(basis, residues)
+        finally:
+            lifting.pop()
+
+    def counting_krem(*args):
+        if lifting:
+            misses[lifting[-1]] += 1
+        return krem_(*args)
+
     monkeypatch.setattr(Poly, "__divmod__", counting_divmod)
     monkeypatch.setattr(Poly, "__mod__", counting_mod)
+    monkeypatch.setattr(CRTBasis, "lift", tracking_lift)
+    monkeypatch.setattr(poly_module, "_krem", counting_krem)
     table, trace = build_counterexample(FiniteField(2), 5)
     pairs = [(p, rp) for row in trace.rows for p, rp in row.residue_pairs]
     assert len(trace.rows) == 62 and len(pairs) == 632
     assert len({(p.coeffs, rp.coeffs) for p, rp in pairs}) == 264
     assert len(calls) == 74 + (64 + 94) == 232
-    assert len(reductions) == 264
+    assert len(reductions) == 0
+    # keyed by deg M, the degree sum of the level: 2, 4, 10, 22, 52
+    assert misses == {2: 2, 4: 4, 10: 12, 22: 36, 52: 100}
+    triples = {(row.b.deg, p.coeffs, (table.lookup(rp) % p).coeffs)
+               for row in trace.rows for p, rp in row.residue_pairs}
+    assert sum(misses.values()) == len(triples) == 154

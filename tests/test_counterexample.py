@@ -6,7 +6,7 @@ import pytest
 
 from fqtlab import (BudgetExceeded, FiniteField, Poly, build_counterexample,
                     certify_counterexample, degree_sum, verify_p3)
-from fqtlab.counterexample import _step_table
+from fqtlab.counterexample import _residue_walk, _step_table, _walk_digits
 from fqtlab.irreducibles import enumerate_monic_irreducibles
 
 F2 = FiniteField(2)
@@ -169,3 +169,31 @@ def test_step_table_matches_division(field, D):
             assert len(steps) == top
             assert [steps[j] for j in js] == [
                 (Poly.from_index(field, j) % p).index() for j in js]
+
+
+# F_2, F_4 and F_16 walk a byte per step (8, 4 and 2 digits), the others a
+# digit
+WALK_FIELDS = [(F2, 6), (F3, 3), (FiniteField(2, 2), 3), (FiniteField(5), 2),
+               (FiniteField(2, 3), 2), (FiniteField(3, 2), 2),
+               (FiniteField(2, 4), 2)]
+
+
+@pytest.mark.parametrize("field, D", WALK_FIELDS,
+                         ids=["F2", "F3", "F4", "F5", "F8", "F9", "F16"])
+def test_residue_walk_matches_division(field, D):
+    # a value's residue index, walked through P's step table (a byte of its
+    # index per step through Shift_P and Low_P over F_2, F_4 and F_16),
+    # equals that of v % P: for the zero value, values shorter than a
+    # byte, exactly a byte or two long, and values spanning many bytes (up
+    # to degree 300)
+    rng = random.Random(field.q)
+    q = field.q
+    values = [Poly.zero(field), Poly.one(field), Poly.gen(field)]
+    for n in (3, 7, 8, 9, 16, 17, 64, 200, 301):
+        values.append(Poly(field, [rng.randrange(q) for _ in range(n - 1)]
+                           + [rng.randrange(1, q)]))
+    for d in range(1, D + 1):
+        for p in enumerate_monic_irreducibles(field, d):
+            walk = _residue_walk(field, _step_table(p))
+            assert [walk(_walk_digits(field, v)) for v in values] == [
+                (v % p).index() for v in values]

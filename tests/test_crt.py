@@ -310,3 +310,18 @@ def test_packed_lift_rejects_mixed_fields():
     basis = CRTBasis([t, P2(1, 1)])
     with pytest.raises(ValueError):
         basis.lift([one, Poly.one(F3)])
+
+
+def test_memoised_lift_still_rejects_mixed_fields():
+    # the field check runs before the memo look-up: a residue from another
+    # field whose coefficients equal a memoised key still raises
+    F9, F9b = FiniteField(3, 2), FiniteField(3, 2, (2, 1, 1))
+    for field, other in ((F3, F9), (F9, F9b), (F9, F3)):
+        moduli = enumerate_monic_irreducibles(field, 1)[:2]
+        basis = CRTBasis(moduli)
+        ones = [Poly.one(field)] * 2
+        assert basis.lift(ones) == Poly.one(field)
+        assert all(memo for _, _, _, memo in basis._terms)
+        with pytest.raises(ValueError):
+            basis.lift([Poly.one(field), Poly.one(other)])
+        assert basis.lift(ones) == Poly.one(field)

@@ -70,6 +70,28 @@ def test_crt_lift_matches_gf_rem(inst):
                 == galoistools.gf_rem(to_gf(r), to_gf(m), p, ZZ))
 
 
+@given(lift_instance(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_repeated_lifts_through_the_memo_match_gf_rem(inst, data):
+    # many lifts through one basis, drawing residues from a small pool with
+    # repeats, reduced and not: memo hits must give the lifts a fresh
+    # reduction would, and each term keeps only reduced residues, at most
+    # q^deg P of them
+    field, pool, moduli = inst
+    p = field.p
+    basis = CRTBasis(moduli)
+    pool = pool + [r % m for r in pool for m in moduli]
+    for _ in range(data.draw(st.integers(min_value=2, max_value=6))):
+        residues = [data.draw(st.sampled_from(pool)) for _ in moduli]
+        lift = crt(residues, basis)
+        for r, m in zip(residues, moduli):
+            assert (galoistools.gf_rem(to_gf(lift), to_gf(m), p, ZZ)
+                    == galoistools.gf_rem(to_gf(r), to_gf(m), p, ZZ))
+    for m, (_, _, _, memo) in zip(moduli, basis._terms):
+        assert len(memo) <= field.q ** m.deg
+        assert all(Poly._wrap(field, x).deg < m.deg for x in memo)
+
+
 # a CRT term reduces by its modulus's `Modulus`, which keeps a Newton inverse
 # once deg*(deg - 1) reaches _NEWTON_MIN_WORK
 NEWTON_DEG = next(d for d in range(2, 100) if d * (d - 1) >= _NEWTON_MIN_WORK)
@@ -88,7 +110,7 @@ def test_crt_lift_matches_gf_rem_around_the_newton_rule(p):
                 break
         moduli.append(m)
     basis = CRTBasis(moduli)
-    assert [m._newton is not None for m, _, _ in basis._terms] == [
+    assert [m._newton is not None for m, _, _, _ in basis._terms] == [
         False, False, True, True]
     # short residues take the Newton quotient, long ones the schoolbook loop
     for n in (0, 10, 60, 200):

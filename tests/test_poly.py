@@ -46,6 +46,20 @@ def test_index_roundtrip():
         assert Poly.from_index(F3, k).index() == k
 
 
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 6])
+def test_char2_index_matches_the_digit_loop(e):
+    # F_4 to F_32 read their index as one base-q string; F_64 runs the loop
+    F = FiniteField(2, e)
+    rng = random.Random(e)
+    for n in (0, 1, 2, 9, 300):
+        a = Poly(F, [rng.randrange(F.q) for _ in range(n)])
+        k = 0
+        for c in reversed(a.coeffs):
+            k = k * F.q + c
+        assert a.index() == k
+        assert Poly.from_index(F, k) == a
+
+
 def test_degree_and_zero():
     assert Poly.zero(F2).deg is NEG_INF
     assert one.deg == 0
