@@ -13,14 +13,14 @@ enumeration in the package walks indices ascending.
 Arithmetic runs on kernel forms: a bit-packed int over GF(2) (bit i is the
 coefficient of t^i), the coefficient sequence otherwise.  One private layer
 picks the kernel by field kind, one routine per job: `_kmul` multiplies,
-`_krem` takes a remainder, `_kpow` is the one square-and-multiply loop,
-`_kindex` the one index loop, `_newton_inverse` the one place that decides
-whether a division takes its quotient from a Newton inverse, and
-`Poly._wrap` the only way back to a Poly.  `Poly.__mul__`, `**`, `scaled`,
-`Modulus`, `poly_gcd` (over GF(2) and extension fields), `CRTBasis.lift` and
-`residues.index_arrays` all go through it; `Poly.__divmod__` is the only
-path that returns a quotient.  The results never depend on the kernel
-chosen.
+`_kadd` adds, `_krem` takes a remainder, `_kpow` is the one
+square-and-multiply loop, `_kindex` the one index loop, `_newton_inverse`
+the one place that decides whether a division takes its quotient from a
+Newton inverse, and `Poly._wrap` the only way back to a Poly.
+`Poly.__mul__`, `+`, `**`, `scaled`, `_horner`, `Modulus`, `poly_gcd` (over
+GF(2) and extension fields), `CRTBasis.lift` and `residues.index_arrays`
+all go through it; `Poly.__divmod__` is the only path that returns a
+quotient.  The results never depend on the kernel chosen.
 
 GF(2) forms multiply and reduce by shifts and XOR at every length.  Other
 prime fields run loops on plain ints, reduced mod p once at the end; once
@@ -33,9 +33,10 @@ once per modulus, and its remainder from one more product.  A single
 deg(divisor) reach _NEWTON_ONCE_MIN_LEN and their product reaches
 _NEWTON_ONCE_MIN_WORK; `//` and `%` by a Poly go through `divmod`, while
 `%` by a `Modulus` takes the remainder alone.  Extension fields
-run schoolbook loops on the field's tables.  Sums act coefficientwise on
-the codes: XOR over characteristic 2, plain ints mod p over other prime
-fields, the tables otherwise; a difference is a sum with the negation.
+run schoolbook loops on the field's tables.  Sums XOR the packed ints over
+GF(2) and act coefficientwise on the codes otherwise: XOR over
+characteristic 2, plain ints mod p over other prime fields, the tables
+otherwise; a difference is a sum with the negation.
 
 `Modulus(P, k)` is the one prepared modulus, after NTL's zz_pXModulus:
 `Poly.powmod` runs `_kpow` on one and `CRTBasis` keeps one per modulus.  A
@@ -61,7 +62,7 @@ import json
 import re
 import sys
 from array import array
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import BudgetExceeded, NotCoprime, PolyParseError
 from .field import FiniteField
@@ -311,8 +312,9 @@ def _mul_ext(a, b, F) -> list:
 #
 # A kernel form is a bit-packed int over GF(2) and a coefficient sequence
 # without trailing zeros otherwise (`Poly._kernel` gives it, `Poly._wrap`
-# takes it back).  Every product and remainder on kernel forms goes through
-# _kmul and _krem, and every Newton inverse through _newton_inverse.
+# takes it back).  Every product, sum and remainder on kernel forms goes
+# through _kmul, _kadd and _krem, and every Newton inverse through
+# _newton_inverse.
 
 
 def _kmul(a, b, F):
@@ -323,6 +325,30 @@ def _kmul(a, b, F):
         return []
     # a product of nonzero polynomials over a field has a nonzero top term
     return _mul_ext(a, b, F) if F.e > 1 else _mul_p(a, b, F.p)
+
+
+def _kadd(a, b, F):
+    """a+b on kernel forms over F; either may be zero.  Over characteristic
+    2 an extension field's codes are bit vectors of coordinates, so XOR adds
+    them too."""
+    if F.q == 2:
+        return a ^ b
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    if F.p == 2:
+        out = [x ^ y for x, y in zip(a, b)]
+    elif F.e == 1:
+        p = F.p
+        out = [(x + y) % p for x, y in zip(a, b)]
+    else:
+        add = F._add
+        out = [add[x][y] for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _krem(a, b, F, newton=None):
@@ -577,29 +603,14 @@ class Poly:
         obj._pk = x
         return obj
 
-    # Over characteristic 2 an extension field's codes are bit vectors of
-    # coordinates, so XOR adds them too.
-
     def __add__(self, other):
         self._check_same_field(other)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not b:
+        if not other.coeffs:
             return self
-        if not a:
+        if not self.coeffs:
             return other
-        if len(a) < len(b):
-            a, b = b, a
-        if F.p == 2:
-            out = [x ^ y for x, y in zip(a, b)]
-        elif F.e == 1:
-            p = F.p
-            out = [(x + y) % p for x, y in zip(a, b)]
-        else:
-            add = F._add
-            out = [add[x][y] for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        return Poly._from_list(F, out)
+        F = self.field
+        return Poly._wrap(F, _kadd(self._kernel(), other._kernel(), F))
 
     def __neg__(self):
         F = self.field
@@ -711,10 +722,13 @@ class Poly:
 
 
 def _horner(cs, z: Poly) -> Poly:
-    """sum cs[j] * z^j in F_q[t]; zero for an empty cs."""
-    if not cs:
-        return Poly.zero(z.field)
-    return reduce(lambda acc, c: acc * z + c, reversed(cs))
+    """sum cs[j] * z^j in F_q[t], on kernel forms; zero for an empty cs."""
+    F = z.field
+    x = z._kernel()
+    acc = 0 if F.q == 2 else []
+    for c in reversed(cs):
+        acc = _kadd(_kmul(acc, x, F), c._kernel(), F)
+    return Poly._wrap(F, acc)
 
 
 # -- enumeration ------------------------------------------------------------------

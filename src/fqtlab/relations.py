@@ -17,6 +17,10 @@ ansatz exist at scale.
 
 All solving reduces to kernel vectors of F_q-linear systems; every returned
 object is re-verified by direct evaluation, never trusted from the solver.
+find_relation builds its system only from witness entries: it solves on the
+rows it has, evaluates the candidate on the whole table, and adds the rows
+of the first entry the candidate fails.  Its budget is judged on the full
+system, counted from degrees before any product.
 """
 
 from __future__ import annotations
@@ -111,8 +115,8 @@ def _system_rows(entries, budget: int, what: str, ncols: int = 0) -> list:
     deg b + i + 1), so row r is the t^r equation.  The running row count is
     checked against the budget before an entry's rows are built.  Each entry
     of a relation or ansatz system has a column t^0 * 1, so it adds at least
-    one row: their callers pass the column count, and more columns than the
-    budget are refused before the first entry is built.
+    one row: `_linear_rows` passes the column count, and more columns than
+    the budget are refused before the first entry is built.
     """
     refusal = "%s exceeds %d matrix entries" % (what, budget)
     if ncols > budget:
@@ -131,41 +135,70 @@ def _system_rows(entries, budget: int, what: str, ncols: int = 0) -> list:
     return rows
 
 
-def _relation_rows(table: FuncTable, bounds: TriDegreeBounds,
-                   budget: int) -> list:
-    """One equation per (input, t-power) pair, columns in
-    TriDegreeBounds.column order: t^i * A^j * f(A)^k for unknown (i, j, k)."""
-    def entries():
-        for a, v in table.items():
-            row = _powers(v, bounds.k_max)  # A^j * f(A)^k for one j
-            base = list(row)
-            for _ in range(bounds.j_max):
-                row = [b * a for b in row]
-                base += row
-            yield [(b, i) for i in range(bounds.i_max + 1) for b in base]
-    return _system_rows(entries(), budget, "relation system",
-                        bounds.unknowns)
+def _relation_columns(a: Poly, v: Poly, bounds: TriDegreeBounds) -> list:
+    """The (b, i) columns of one entry (A, f(A)), in TriDegreeBounds.column
+    order: t^i * A^j * f(A)^k for unknown (i, j, k)."""
+    row = _powers(v, bounds.k_max)  # A^j * f(A)^k for one j
+    base = list(row)
+    for _ in range(bounds.j_max):
+        row = [b * a for b in row]
+        base += row
+    return [(b, i) for i in range(bounds.i_max + 1) for b in base]
+
+
+def _relation_row_count(entries, bounds: TriDegreeBounds) -> int:
+    """The rows of the full relation system on the (A, f(A)) entries, from
+    degrees alone: an entry's height is i_max + 1 plus the largest
+    deg(A^j * f(A)^k) over its nonzero products, j_max * deg A +
+    k_max * deg f(A) with a zero factor's term left out."""
+    return sum(bounds.i_max + 1 + (bounds.j_max * a.deg if a else 0)
+               + (bounds.k_max * v.deg if v else 0) for a, v in entries)
 
 
 def find_relation(table: FuncTable, bounds: TriDegreeBounds,
                   budget: int = DEFAULT_MATRIX_BUDGET):
     """First canonical nonzero Q vanishing on the whole table, or None.
 
-    One F_q equation per (input, t-power) pair; the kernel is computed over
-    columns ordered by (i, j, k).  The returned relation is re-checked by
-    direct evaluation on every table entry.
+    The full system has one F_q equation per (input, t-power) pair, over
+    columns ordered by (i, j, k); it is refused, from degrees alone, once it
+    exceeds the budget, but never built.  The search starts with no rows:
+    it takes the first canonical kernel vector of the rows it has and
+    evaluates that candidate directly on every table entry, in canonical
+    order.  The first entry where it does not vanish (a witness) adds its
+    rows and the kernel is solved again, until the candidate vanishes
+    everywhere or the kernel is trivial.
+
+    The first canonical kernel vector of a subspace is its one element with
+    the smallest last nonzero column, scaled to 1 there, and adding rows
+    only shrinks the kernel: a candidate that vanishes on every entry is
+    the full system's first vector too.  Each witness removes the current
+    candidate from the kernel, so there are at most unknowns + 1 solves.
     """
     field = table.field
-    vec = kernel_vector(field, _relation_rows(table, bounds, budget),
-                        bounds.unknowns)
-    if vec is None:
-        return None
-    rel = RelationQ(bounds=bounds, coeffs=tuple(vec))
-    slices = rel.y_slices(field)
-    for a, v in table.items():
-        if not _evaluate_slices(slices, a, v).is_zero():
+    ncols = bounds.unknowns
+    entries = list(table.items())
+    if _relation_row_count(entries, bounds) * ncols > budget:
+        raise BudgetExceeded("relation system exceeds %d matrix entries"
+                             % budget)
+    rows = []
+    witnesses = set()
+    while True:
+        vec = kernel_vector(field, rows, ncols)
+        if vec is None:
+            return None
+        rel = RelationQ(bounds=bounds, coeffs=tuple(vec))
+        slices = rel.y_slices(field)
+        witness = next(((a, v) for a, v in entries
+                        if not _evaluate_slices(slices, a, v).is_zero()),
+                       None)
+        if witness is None:
+            return rel
+        if witness[0] in witnesses:
             raise AssertionError("solver returned a non-vanishing relation")
-    return rel
+        witnesses.add(witness[0])
+        # within the budget: the full system passed it
+        rows += _system_rows([_relation_columns(*witness, bounds)], budget,
+                             "relation system")
 
 
 # -- counting check -----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Tables shared by the test suite, the per-entry residue reference, the
-RatFunc reference for K[X], and the factor-based p-th root in F_q(t)."""
+full relation system, the RatFunc reference for K[X], and the factor-based
+p-th root in F_q(t)."""
 
 from fqtlab import (FuncTable, RatFunc, crt, enumerate_monic_irreducibles,
-                    factor, irreducible_product)
+                    factor, irreducible_product, relations)
 from fqtlab.poly import Poly, poly_gcd, polys_up_to
 
 
@@ -64,6 +65,17 @@ def reference_residue_map(table):
         for col, r in zip(values, direct_indices(mods, v)):
             col.append(r)
     return tuple(mods), inputs, values
+
+
+# -- the full relation system ------------------------------------------------
+# find_relation never builds it: it adds one entry's rows per witness.
+
+
+def relation_rows(table, bounds):
+    """Every entry's rows of the relation system, in canonical order."""
+    return relations._system_rows(
+        (relations._relation_columns(a, v, bounds) for a, v in table.items()),
+        10 ** 9, "relation system")
 
 
 # -- RatFunc reference for K[X] --------------------------------------------------

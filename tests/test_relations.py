@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from fqtlab import (BudgetExceeded, DeltaSpec, ExactDivisionError, FiniteField,
                     FuncTable, LinearAnsatz, LinearCaps, Poly, RatFunc,
@@ -14,8 +15,9 @@ from fqtlab import (BudgetExceeded, DeltaSpec, ExactDivisionError, FiniteField,
                     find_relation, fit_polynomial, linear_growth_fit, radical,
                     recover_polymap, run_pipeline, schedule_check,
                     unknown_count_check)
-from fqtlab import relations
-from helpers import forced_table
+from fqtlab import poly as poly_module, relations
+from fqtlab.linalg import kernel_vector
+from helpers import forced_table, relation_rows
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -207,7 +209,7 @@ def test_system_rows_match_reference(field):
         table = table.with_value(a, Poly.zero(field))  # a zero entry
         for bounds in (TriDegreeBounds(1, k, 1), TriDegreeBounds(0, 2, 2),
                        TriDegreeBounds(2, 1, 0)):
-            assert (relations._relation_rows(table, bounds, 10 ** 9)
+            assert (relation_rows(table, bounds)
                     == reference_relation_rows(table, bounds))
         u = Poly.gen(field)
         samples = [(u ** n, table.lookup(u ** n)) for n in range(D + 1)]
@@ -231,8 +233,141 @@ def test_relation_system_shape_frozen():
     # deg(A^3 f(A)) + 2 rows per input: 2 + 3 at A = 0, 1, then 8, 14, 20
     # for each of the 2, 4, 8 inputs of degree 1, 2, 3
     tab = FuncTable.from_function(F2, 3, cube_map)
-    rows = relations._relation_rows(tab, TriDegreeBounds(1, 3, 1), 10 ** 9)
+    bounds = TriDegreeBounds(1, 3, 1)
+    rows = relation_rows(tab, bounds)
     assert (len(rows), {len(r) for r in rows}) == (237, {16})
+    assert relations._relation_row_count(tab.items(), bounds) == 237
+
+
+def test_relation_budget_edge():
+    # the full system of test_relation_system_shape_frozen, 237 rows of 16
+    # unknowns, is counted and judged whole although it is never built
+    tab = FuncTable.from_function(F2, 3, cube_map)
+    bounds = TriDegreeBounds(1, 3, 1)
+    assert find_relation(tab, bounds, budget=3792) is not None
+    with pytest.raises(BudgetExceeded,
+                       match="^relation system exceeds 3791 matrix entries$"):
+        find_relation(tab, bounds, budget=3791)
+
+
+def test_relation_refused_before_any_product(monkeypatch):
+    products = []
+    mul, kmul = Poly.__mul__, poly_module._kmul
+
+    def spy_mul(self, other):
+        products.append("Poly.__mul__")
+        return mul(self, other)
+
+    def spy_kmul(a, b, F):
+        products.append("_kmul")
+        return kmul(a, b, F)
+
+    monkeypatch.setattr(Poly, "__mul__", spy_mul)
+    monkeypatch.setattr(poly_module, "_kmul", spy_kmul)
+    tab = FuncTable.from_function(F2, 3, cube_map)
+    products.clear()
+    with pytest.raises(BudgetExceeded):
+        find_relation(tab, TriDegreeBounds(1, 3, 1), budget=3791)
+    with pytest.raises(BudgetExceeded):
+        find_relation(tab, TriDegreeBounds(10 ** 6, 10 ** 6, 10 ** 6))
+    assert products == []
+    assert find_relation(tab, TriDegreeBounds(1, 3, 1)) is not None
+    assert products  # the spies do see the solve
+
+
+def test_witness_solve_counts_frozen(monkeypatch):
+    calls = []  # the row count of each solve
+
+    def spy(field, rows, ncols):
+        calls.append(len(rows))
+        return kernel_vector(field, rows, ncols)
+
+    monkeypatch.setattr(relations, "kernel_vector", spy)
+    bounds = TriDegreeBounds(1, 3, 1)  # column (i, j, k) is 8i + 2j + k
+    # the cube map over F2, D = 3.  Candidate 1 is Q = 1 and fails at A = 0,
+    # whose 2 rows force c_000 = c_100 = 0; candidate 2, Q = Y, fails at
+    # A = 1 (f(1) = 1 + t, 3 rows); candidate 3, Q = (1 + X)Y, fails at
+    # A = t (8 rows); candidate 4, Q = Y + X^3 + tX, vanishes everywhere
+    cube = FuncTable.from_function(F2, 3, cube_map)
+    rel = find_relation(cube, bounds)
+    assert rel.coeffs == tuple(int(c in (1, 6, 10)) for c in range(16))
+    assert calls == [0, 2, 5, 13] and len(calls) <= bounds.unknowns + 1
+    # the same table with its last entry, A = t^3+t^2+t+1, moved off its
+    # value: candidates 1 to 4 fail where they failed before, and the
+    # last entry is the first witness of candidate 4; its 20 rows leave a
+    # trivial kernel, so the fifth solve returns None
+    last = Poly.from_index(F2, 15)
+    tampered = cube.with_value(last, cube.lookup(last) + one)
+    calls.clear()
+    assert find_relation(tampered, bounds) is None
+    assert calls == [0, 2, 5, 13, 33] and len(calls) <= bounds.unknowns + 1
+    # A -> X^3 + (t+2)X^2 + tX + (t+1) over F3, D = 4.  Q = 1 fails at
+    # A = 0 (f(0) = t + 1, 3 rows); Q = X fails at A = 1 (f(1) = 1, 2 rows);
+    # Q = X(Y - 1) fails at A = 2 (f(2) = t + 2, 3 rows); Q = X(X + 1)(Y - 1)
+    # fails at A = t (f(t) = 2t^3 + t + 1, 8 rows); candidate 5 is
+    # f(X) - Y, which vanishes everywhere
+    u, c1 = Poly.gen(F3), Poly.one(F3)
+    polymap = FuncTable.from_polymap(F3, 4, [u + c1, u, u + c1 + c1, c1])
+    calls.clear()
+    rel = find_relation(polymap, bounds)
+    assert rel.coeffs == (1, 2, 0, 0, 2, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0)
+    assert calls == [0, 3, 5, 8, 16] and len(calls) <= bounds.unknowns + 1
+
+
+_REFERENCE_FIELDS = [(FiniteField(2), 4), (FiniteField(3), 3),
+                     (FiniteField(5), 1), (FiniteField(2, 2), 2),
+                     (FiniteField(3, 2), 1)]
+
+
+@st.composite
+def relation_cases(draw):
+    """A table and a small box: polymap tables, polymap tables tampered at
+    one entry (often the last in canonical order), random tables and
+    zero-valued tables, over F2, F3, F5, F4 and F9."""
+    field, top = draw(st.sampled_from(_REFERENCE_FIELDS))
+    D = draw(st.integers(1, top))
+    q, n = field.q, field.q ** (D + 1)
+
+    def poly(max_deg):
+        return Poly(field, draw(st.lists(st.integers(0, q - 1),
+                                         max_size=max_deg + 1)))
+
+    kind = draw(st.sampled_from(["polymap", "tampered", "random", "zero"]))
+    if kind == "random":
+        table = FuncTable(field, D, {Poly.from_index(field, x): poly(3)
+                                     for x in range(n)})
+    elif kind == "zero":
+        table = FuncTable.from_function(field, D,
+                                        lambda a: Poly.zero(field))
+    else:
+        k = draw(st.integers(1, 3))
+        table = FuncTable.from_polymap(
+            field, D, [poly(1) for _ in range(k)] + [Poly.one(field)])
+        if kind == "tampered":
+            x = draw(st.one_of(st.just(n - 1), st.integers(0, n - 1)))
+            a = Poly.from_index(field, x)
+            table = table.with_value(a, table.lookup(a) + poly(2)
+                                     + Poly.one(field))
+    if kind in ("polymap", "tampered") and draw(st.booleans()):
+        # a box that holds f(X) - Y
+        bounds = TriDegreeBounds(1, k + draw(st.integers(0, 1)),
+                                 draw(st.integers(1, 2)))
+    else:
+        bounds = TriDegreeBounds(draw(st.integers(0, 1)),
+                                 draw(st.integers(0, 3)),
+                                 draw(st.integers(0, 2)))
+    return table, bounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_cases())
+def test_relation_matches_full_system_property(case):
+    table, bounds = case
+    vec = kernel_vector(table.field, reference_relation_rows(table, bounds),
+                        bounds.unknowns)
+    event("relation found" if vec else "no relation")
+    rel = find_relation(table, bounds)
+    assert (rel.coeffs if rel else None) == vec
 
 
 # -- degree bound certificates --------------------------------------------------
