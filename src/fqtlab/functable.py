@@ -74,20 +74,26 @@ def field_from_obj(fo) -> FiniteField:
 class FuncTable:
     """Immutable-by-convention map from all A with deg A <= D to F_q[t]."""
 
-    __slots__ = ("field", "D", "_values")
+    # _entries: the (input, value) pairs in canonical order, for walks;
+    # _values: the same pairs as a dict, for look-ups
+    __slots__ = ("field", "D", "_values", "_entries")
 
     def __init__(self, field: FiniteField, D: int, values: dict):
         if D < 0:
             raise ValueError("D must be >= 0")
         _check_domain_size(field, D, len(values))
+        # the q^(D+1) distinct keys of degree <= D fill the domain's indices
+        entries = [None] * len(values)
         for a, v in values.items():
             if a.field != field or v.field != field:
                 raise ValueError("table entries from a different field")
             if not (a.deg is NEG_INF or a.deg <= D):
                 raise ValueError("key %s outside degree bound %d" % (a, D))
+            entries[a.index()] = (a, v)
         self.field = field
         self.D = D
         self._values = dict(values)
+        self._entries = entries
 
     @classmethod
     def from_function(cls, field, D, fn, budget: int = DEFAULT_ENUM_BUDGET):
@@ -111,11 +117,10 @@ class FuncTable:
                                    % (a, self.D)) from None
 
     def domain(self):
-        return polys_up_to(self.field, self.D)
+        return (a for a, _ in self._entries)
 
     def items(self):
-        for a in self.domain():
-            yield a, self._values[a]
+        return iter(self._entries)
 
     def with_value(self, a: Poly, v: Poly) -> "FuncTable":
         """A copy with one entry overwritten (for corruption experiments)."""

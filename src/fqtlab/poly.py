@@ -15,35 +15,32 @@ coefficient of t^i), the coefficient sequence otherwise.  One private layer
 picks the kernel by field kind, one routine per job: `_kmul` multiplies,
 `_kadd` adds, `_krem` takes a remainder, `_kpow` is the one
 square-and-multiply loop, `_kindex` the one index loop, `_newton_inverse`
-the one place that decides whether a division takes its quotient from a
-Newton inverse, and `Poly._wrap` the only way back to a Poly.
-`Poly.__mul__`, `+`, `**`, `scaled`, `_horner`, `Modulus`, `poly_gcd` (over
-GF(2) and extension fields), `CRTBasis.lift` and `residues.index_arrays`
-all go through it; `Poly.__divmod__` is the only path that returns a
-quotient.  The results never depend on the kernel chosen.
+the one builder of Newton data, and `Poly._wrap` the only way back to a
+Poly.  `Poly.__mul__`, `+`, `**`, `scaled`, `_horner`, `Modulus`,
+`poly_gcd` (over GF(2) and extension fields), `CRTBasis.lift` and
+`residues.index_arrays` all go through it; `Poly.__divmod__` is the only
+path that returns a quotient.  The results never depend on the kernel chosen.
 
 GF(2) forms multiply and reduce by shifts and XOR at every length.  Other
 prime fields run loops on plain ints, reduced mod p once at the end; once
 len(a)*len(b) reaches _KRON_MIN_WORK a product is one bigint multiply
-(Kronecker substitution).  Once (quotient length)*deg(modulus) reaches
-_NEWTON_MIN_WORK, a division by a fixed modulus (a `Modulus`) takes its
-quotient from a Newton inverse of the reversed modulus, computed and packed
-once per modulus, and its remainder from one more product.  A single
-`divmod` computes an inverse of its own once both the quotient length and
-deg(divisor) reach _NEWTON_ONCE_MIN_LEN and their product reaches
-_NEWTON_ONCE_MIN_WORK; `//` and `%` by a Poly go through `divmod`, while
-`%` by a `Modulus` takes the remainder alone.  Extension fields
+(Kronecker substitution).  A division takes its quotient from a Newton
+inverse of the reversed divisor, and its remainder from one more product,
+once the schoolbook work done against that divisor reaches _NEWTON_WORK:
+(quotient length)*deg(divisor), summed over its divisions and counting the
+current one.  A single `divmod` counts only its own work; a `Modulus`
+counts every reduction it has served and builds its inverse once, when the
+sum crosses the bound.  `//` and `%` go through `divmod`.  Extension fields
 run schoolbook loops on the field's tables.  Sums XOR the packed ints over
 GF(2) and act coefficientwise on the codes otherwise: XOR over
 characteristic 2, plain ints mod p over other prime fields, the tables
 otherwise; a difference is a sum with the negation.
 
-`Modulus(P, k)` is the one prepared modulus, after NTL's zz_pXModulus:
+`Modulus(P)` is the one prepared modulus, after NTL's zz_pXModulus:
 `Poly.powmod` runs `_kpow` on one and `CRTBasis` keeps one per modulus.  A
 caller raising many residues to powers mod one P (`factor`'s distinct-degree
 split, Rabin's test, equal-degree splitting) builds it once and passes it
-instead of P, and `a % Modulus(P, k)` reduces a mod P without building the
-quotient `a % P` would.
+instead of P, so the work of all its powers counts towards one inverse.
 
 `poly_gcd` runs all of Euclid on kernel forms and builds one Poly at the
 end; over odd p it packs each operand once into a Kronecker form with
@@ -75,21 +72,14 @@ NEG_INF = float("-inf")
 # terms, a division of (quotient length)*deg(b).
 # Kronecker multiply from _KRON_MIN_WORK term pairs on,
 _KRON_MIN_WORK = 100
-# and Newton division by a fixed modulus from _NEWTON_MIN_WORK, where one
-# inverse pays for itself over a single powmod at k = p <= 7, the exponent
-# factoring uses most (deg(modulus) about 23 to 28 there).  Bounds of 200,
-# 100 and 56 ran the `radical` benchmark slower: many moduli serve only a
-# few reductions.
-_NEWTON_MIN_WORK = 640
-# A single division pays for a Newton inverse of its own only once both
-# the quotient length and deg(divisor) reach _NEWTON_ONCE_MIN_LEN and their
-# product _NEWTON_ONCE_MIN_WORK.  Timed on lengths 8 to 300 each: below
-# 1,000 term pairs Newton took 1.5-5x as long as the schoolbook loop; at
-# this rule's edge the two ran level (0.8-1.5x as fast, by p); from 10,000
-# on Newton ran 2-11x as fast, except against divisors of degree < 32 at
-# p = 2^31-1, where it stayed level.
-_NEWTON_ONCE_MIN_LEN = 32
-_NEWTON_ONCE_MIN_WORK = 3000
+# and Newton division by a divisor once the schoolbook work done against it,
+# counting the current division, reaches _NEWTON_WORK: a single `divmod`
+# counts its own, a `Modulus` every reduction it has served.  On single
+# divisions (lengths 8 to 300 each) Newton took 1.5-5x as long as the
+# schoolbook loop below 1,000, ran level near 3,000 and 2-11x as fast from
+# 10,000 on.  On plain `radical` passes bounds of 640 to 3,000 ran within
+# 1 % of each other and 6,000 ran 2 % slower.
+_NEWTON_WORK = 3000
 
 
 # -- GF(2): one bit per coefficient ------------------------------------------
@@ -364,26 +354,16 @@ def _krem(a, b, F, newton=None):
     return r
 
 
-def _newton_inverse(m, k, F, once=False):
+def _newton_inverse(m, k, F):
     """The Newton data for dividing by the kernel form m over odd p, with
-    quotients up to k terms long, or None where the schoolbook loop is
-    faster: by a fixed modulus (a `Modulus`) once the work k*deg(m)
-    reaches _NEWTON_MIN_WORK, and for a single division (`once`) by the
-    _NEWTON_ONCE_* rule.
+    quotients up to k terms long; callers build it once the schoolbook work
+    against m reaches _NEWTON_WORK.
 
     The data is (s, k, rev(1/rev(m) mod t^k), -(m mod t^deg m)), the last
     two packed once in Kronecker form with slots of s bytes, wide enough
     for both products of `_divmod_p`.
     """
-    if F.e > 1 or F.p == 2:
-        return None
     db = len(m) - 1
-    if once:
-        if (min(k, db) < _NEWTON_ONCE_MIN_LEN
-                or k * db < _NEWTON_ONCE_MIN_WORK):
-            return None
-    elif k * db < _NEWTON_MIN_WORK:
-        return None
     p = F.p
     s = _slot_bytes(max(k, db) + 1, p)
     inverse = _series_inverse(m[::-1], k, p)
@@ -421,30 +401,39 @@ def _kindex(x, F) -> int:
 
 
 class Modulus:
-    """A nonzero modulus P prepared once for many reductions mod P.
+    """A nonzero modulus P, prepared lazily for many reductions mod P.
 
-    It holds P's kernel form and, over odd p once k * deg P reaches
-    _NEWTON_MIN_WORK, P's `_newton_inverse` for quotients of up to k terms,
-    so every such reduction is two products (after NTL's zz_pXModulus).
-    k defaults to deg P - 1, the longest quotient a product of two residues
-    leaves.  `Poly.powmod` runs on one: pass a Modulus instead of P to share
-    its set-up among many powers mod P.  `CRTBasis` keeps one per modulus.
-    Like Poly it is immutable.
+    It holds P's kernel form and, over odd p, counts in `_work` the
+    schoolbook work of the reductions it serves.  When that reaches
+    _NEWTON_WORK it builds P's `_newton_inverse` for quotients of up to
+    deg P - 1 terms, what a product of two residues leaves, and stops
+    counting; from then on each such reduction is two products (after
+    NTL's zz_pXModulus).  `_work` is None over GF(2) and extension fields.
+    `Poly.powmod` runs on one: pass a Modulus instead of P to share it among
+    many powers mod P.  `CRTBasis` keeps one per modulus.
     """
 
-    __slots__ = ("poly", "_m", "_newton")
+    __slots__ = ("poly", "_m", "_newton", "_work")
 
-    def __init__(self, modulus: "Poly", k: int | None = None):
+    def __init__(self, modulus: "Poly"):
         if modulus.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        F = modulus.field
         self.poly = modulus
         self._m = modulus._kernel()
-        self._newton = _newton_inverse(
-            self._m, modulus.deg - 1 if k is None else k, modulus.field)
+        self._newton = None
+        self._work = None if F.q == 2 or F.e > 1 else 0
 
     def _reduce(self, a):
         """a mod P on kernel forms."""
-        return _krem(a, self._m, self.poly.field, self._newton)
+        m, F = self._m, self.poly.field
+        if self._work is not None and len(a) >= len(m):
+            db = len(m) - 1
+            self._work += (len(a) - db) * db
+            if self._work >= _NEWTON_WORK:
+                self._newton = _newton_inverse(m, db - 1, F)
+                self._work = None
+        return _krem(a, m, F, self._newton)
 
     def _pow(self, x, k: int):
         """x^k mod P on kernel forms; the last reduction makes a unit P
@@ -652,19 +641,15 @@ class Poly:
             q = [0] * (len(a) - db)
             r = _rem_ext(a, bc, F, q)
         else:
-            q, r = _divmod_p(a, bc, F.p,
-                             _newton_inverse(bc, len(a) - db, F, once=True))
+            k = len(a) - db
+            q, r = _divmod_p(a, bc, F.p, _newton_inverse(bc, k, F)
+                             if k * db >= _NEWTON_WORK else None)
         return Poly._wrap(F, q), Poly._from_list(F, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        """self mod other, a nonzero Poly or a `Modulus`; by a Modulus the
-        remainder comes from its prepared data and no quotient is built."""
-        if isinstance(other, Modulus):
-            self._check_same_field(other.poly)
-            return Poly._wrap(self.field, other._reduce(self._kernel()))
         return divmod(self, other)[1]
 
     def powmod(self, k: int, modulus) -> "Poly":
@@ -930,8 +915,8 @@ class CRTBasis:
     (M = prod P_i), packed once into the Kronecker form above.  The xgcd
     that gives u_i checks coprimality too: gcd(C_i mod P_i, P_i) is 1 iff
     P_i is coprime to every other modulus.  `lift` takes each short
-    c_i = r_i*u_i mod P_i on kernel forms (`_kmul`, `_krem` with the
-    Modulus's data), adds c_i*C_i into one packed int and unpacks that once:
+    c_i = r_i*u_i mod P_i on kernel forms (`_kmul`, the Modulus's
+    `_reduce`), adds c_i*C_i into one packed int and unpacks that once:
     no Poly is built per modulus and no field method is called per
     coefficient.  Each term memoises its packed c_i by r_i's kernel form,
     for reduced r_i only (deg r_i < deg P_i), so a term holds at most
@@ -993,8 +978,7 @@ class CRTBasis:
             x = r._kernel()
             c = memo.get(x)
             if c is None:
-                c = _blocks_pack(_krem(_kmul(x, u, F), m._m, F, m._newton),
-                                 F, s)
+                c = _blocks_pack(m._reduce(_kmul(x, u, F)), F, s)
                 if r.deg < m.poly.deg:
                     memo[x] = c
             if c:

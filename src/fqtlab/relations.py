@@ -486,7 +486,7 @@ def fit_polynomial(points, B: int, max_mismatches: int = 10,
     B * max deg x: (B+1)^3 entry updates of up to B * max deg x + 1
     coefficients each, checked before interpolating.  Interpolation now runs
     in F_q[t] in O(B^2) Poly operations, so the rule overstates its cost;
-    raising it waits on timings (ROADMAP item 3).
+    raising it waits on timings (ROADMAP: "fit budget from timings").
     """
     points = list(points)
     if B < 0:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fqtlab import (CRTBasis, FiniteField, Poly, crt,
                     enumerate_monic_irreducibles)
-from fqtlab.poly import _NEWTON_MIN_WORK
+from fqtlab.poly import _NEWTON_WORK
 
 galoistools = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
@@ -92,17 +92,23 @@ def test_repeated_lifts_through_the_memo_match_gf_rem(inst, data):
         assert all(Poly._wrap(field, x).deg < m.deg for x in memo)
 
 
-# a CRT term reduces by its modulus's `Modulus`, which keeps a Newton inverse
-# once deg*(deg - 1) reaches _NEWTON_MIN_WORK
-NEWTON_DEG = next(d for d in range(2, 100) if d * (d - 1) >= _NEWTON_MIN_WORK)
-
-
 @pytest.mark.parametrize("p", [3, 7, M31])
 def test_crt_lift_matches_gf_rem_around_the_newton_rule(p):
+    # a CRT term reduces r*u mod P by P's `Modulus` on a memo miss.  The
+    # Modulus adds (quotient length)*deg P of work for each reduction and
+    # builds its inverse once the sum reaches _NEWTON_WORK.  A miss on a
+    # reduced residue is a quotient of up to deg P - 1 terms, so the lifts
+    # below accumulate about 600 and 870 of work per round on the moduli
+    # of degree 25 and 30, which cross within eight rounds, and at most
+    # 132 and 2 on those of degree 12 and 2, which do not.  Long residues
+    # then take the schoolbook loop, past the inverse's reach: the 200-term
+    # one alone adds 199*12 = 2,388 on the degree-12 modulus, which
+    # crosses, while the degree-2 one never does.  `work` is that count,
+    # kept here independently of the Modulus.
     field = FiniteField(p)
     rng = random.Random(p)
     moduli = []
-    for d in (2, NEWTON_DEG - 1, NEWTON_DEG, 30):
+    for d in (2, 12, 25, 30):
         while True:
             m = Poly(field, [rng.randrange(p) for _ in range(d)] + [1])
             if all(galoistools.gf_gcd(to_gf(m), to_gf(o), p, ZZ) == [1]
@@ -110,13 +116,29 @@ def test_crt_lift_matches_gf_rem_around_the_newton_rule(p):
                 break
         moduli.append(m)
     basis = CRTBasis(moduli)
-    assert [m._newton is not None for m, _, _, _ in basis._terms] == [
-        False, False, True, True]
-    # short residues take the Newton quotient, long ones the schoolbook loop
-    for n in (0, 10, 60, 200):
-        residues = [Poly(field, [rng.randrange(p) for _ in range(n)])
-                    for _ in moduli]
+    work = [0] * len(moduli)
+
+    def newton_built():
+        return [m._newton is not None for m, _, _, _ in basis._terms]
+
+    def lift_and_check(residues):
+        for i, (r, (m, u, _, memo)) in enumerate(zip(residues, basis._terms)):
+            if r and u and r._kernel() not in memo:
+                quot = len(r.coeffs) + len(u) - 1 - m.poly.deg
+                work[i] += max(quot, 0) * m.poly.deg
         lift = crt(residues, basis)
         for r, m in zip(residues, moduli):
             assert (galoistools.gf_rem(to_gf(lift), to_gf(m), p, ZZ)
                     == galoistools.gf_rem(to_gf(r), to_gf(m), p, ZZ))
+        assert newton_built() == [w >= _NEWTON_WORK for w in work]
+
+    assert newton_built() == [False] * 4
+    for _ in range(8):
+        lift_and_check([Poly(field, [rng.randrange(p) for _ in range(m.deg)])
+                        for m in moduli])
+    assert newton_built() == [False, False, True, True]
+    # short residues take the Newton quotient, long ones the schoolbook loop
+    for n in (0, 10, 60, 200):
+        lift_and_check([Poly(field, [rng.randrange(p) for _ in range(n)])
+                        for _ in moduli])
+    assert newton_built() == [False, True, True, True]

@@ -183,8 +183,16 @@ def _count_series_inverses(monkeypatch):
 
 
 def test_is_irreducible_builds_one_newton_inverse(monkeypatch):
-    # one Modulus per call: its Newton inverse serves every powmod step
-    # (40 of them for an irreducible f of degree 40)
+    # one Modulus per call, and one inverse once its reductions have done
+    # _NEWTON_WORK = 3,000 of schoolbook work.  For f of degree 40 over F_3,
+    # powmod steps 1-3 leave t^3, t^9, t^27 unreduced.  Step 4 cubes t^27:
+    # t^54 mod f is a quotient of 15 terms (15*40 = 600), and t^27 times
+    # that residue, of degree 38, one of 26 (1,040).  Step 5 squares a
+    # residue of degree 39, a quotient of 39 terms (1,560).  The sum, 3,200,
+    # crosses the rule at step 5, which builds the inverse, and it serves
+    # every later step.  g's step 5 squares a residue of degree 37, so
+    # 600 + 1,040 + 35*40 = 3,040 crosses there too, before its first gcd
+    # checkpoint, at step 8, finds a factor.
     rng = random.Random(40)
     f = _random_irreducible(F3, rng, 40)
     g = Poly(F3, [rng.randrange(3) for _ in range(40)] + [1])
@@ -198,12 +206,17 @@ def test_is_irreducible_builds_one_newton_inverse(monkeypatch):
 
 def test_distinct_degree_split_builds_one_inverse_per_modulus(monkeypatch):
     # a = (two linear) * (one cubic) * I30 * I31, degree 66, over F_3.  The
-    # split runs powmod on three moduli, each of degree >= 26, so each gets
-    # a Newton inverse: a at d = 1; a/(linears), degree 64, at d = 2, 3;
-    # that over the cubic, degree 61, at d = 4..30.  The divisions as f
-    # shrinks stay below the one-off Newton rule (quotient lengths 65, 62,
-    # 32 by divisors of degree 2, 3, 30), so 3 inverses in all, where one
-    # per powmod step made 30.
+    # split runs powmod on three moduli.  Mod a (d = 1) and mod a/(linears),
+    # degree 64 (d = 2, 3), h stays t^(3^d), below t^64, so neither reduces
+    # anything.  Mod the degree-61 cofactor of the cubic (d = 4..30), d = 4
+    # reduces t^81, a quotient of 21 terms, 21*61 = 1,281 of work, and d = 5
+    # squares a full residue, a quotient of 60 terms, 60*61 = 3,660 more:
+    # the sum, 4,941, crosses _NEWTON_WORK = 3,000 there, and that one
+    # inverse serves the rest.  The divisions as f shrinks do 65*2 = 130,
+    # 62*3 = 186, 32*30 = 960 and 26*31 = 806 of work (f // g three times,
+    # then h % f), each below 3,000, so 1 inverse in all.  The two earlier
+    # rules built 3, one per modulus of degree >= 26; one per powmod step
+    # made 30.
     rng = random.Random(66)
     parts = [Poly(F3, [0, 1]), Poly(F3, [1, 1]),
              _random_irreducible(F3, rng, 3),
@@ -216,4 +229,4 @@ def test_distinct_degree_split_builds_one_inverse_per_modulus(monkeypatch):
     split = distinct_degree_split(a)
     assert [d for _, d in split] == [1, 3, 30, 31]
     assert split[0][0] == parts[0] * parts[1]
-    assert len(calls) == 3
+    assert len(calls) == 1

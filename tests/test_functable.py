@@ -10,6 +10,7 @@ import fqtlab.functable
 from fqtlab import (BudgetExceeded, FiniteField, FuncTable, NEG_INF, Poly,
                     TableDomainError, growth_profile, verify_p3)
 from fqtlab.functable import ResidueMap, _p3_scan_modulus
+from fqtlab.poly import polys_up_to
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -28,6 +29,19 @@ def test_lookup_and_domain():
     assert tab.lookup(Poly.zero(F2)).is_zero()
     with pytest.raises(TableDomainError):
         tab.lookup(Poly(F2, [0, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("field, D", [(F2, 3), (F3, 2), (F4, 2)],
+                         ids=["F2", "F3", "F4"])
+def test_items_walk_the_domain_in_canonical_order(field, D):
+    # items() and domain() walk the stored entries, placed by index, so a
+    # table built from a dict in any order walks its inputs canonically
+    canonical = [(a, a * a) for a in polys_up_to(field, D)]
+    shuffled = list(canonical)
+    random.Random(field.q).shuffle(shuffled)
+    tab = FuncTable(field, D, dict(shuffled))
+    assert list(tab.items()) == canonical
+    assert list(tab.domain()) == [a for a, _ in canonical]
 
 
 def test_from_polymap():

@@ -17,9 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from fqtlab import FiniteField, Poly, factor, is_irreducible, poly_xgcd
 from fqtlab.factor import squarefree_decomposition
-from fqtlab.poly import (_KRON_MIN_WORK, _NEWTON_MIN_WORK,
-                         _NEWTON_ONCE_MIN_LEN, _NEWTON_ONCE_MIN_WORK, Modulus,
-                         _newton_inverse)
+from fqtlab import poly as poly_module
+from fqtlab.poly import _KRON_MIN_WORK, _NEWTON_WORK, Modulus
 from fqtlab.residues import index_arrays
 
 from helpers import direct_indices
@@ -122,9 +121,12 @@ def test_remainder_tree_arrays_with_slots_past_eight_bytes(p):
     check_residues(moduli, xs)
 
 
-# gf_pow_mod returns 1 for k = 0 even modulo a constant, so b has degree >= 1;
-# powmod divides by Newton once deg(b)*(deg(b) - 1) reaches _NEWTON_MIN_WORK
-POWMOD_MAX_LEN = 2 * math.isqrt(_NEWTON_MIN_WORK) + 8
+# gf_pow_mod returns 1 for k = 0 even modulo a constant, so b has degree >= 1.
+# A Modulus of degree d builds its Newton inverse once its reductions have
+# done _NEWTON_WORK of schoolbook work, d*(d-1) per full squaring: up to
+# this length, moduli cross the rule at their first reduction, part-way
+# through a powmod of exponent <= 200, or never.
+POWMOD_MAX_LEN = math.isqrt(_NEWTON_WORK) + 8
 
 
 @given(pair(max_len=POWMOD_MAX_LEN, min_len=2),
@@ -137,43 +139,64 @@ def test_powmod_matches_gf_pow_mod(inst, k):
 
 
 NEWTON_PRIMES = [3, 7, 2**31 - 1]
-L, W = _NEWTON_ONCE_MIN_LEN, _NEWTON_ONCE_MIN_WORK
-# (quotient length, deg(divisor)) on both sides of each bound of the one-off
-# Newton rule: too short a quotient, too short a divisor, too little work,
-# then just enough of each
-ONCE_SHAPES = [(L - 1, 4 * L), (4 * L, L - 1), (L, W // L - 1),
-               (W // L - 1, L), (L, -(-W // L)), (-(-W // L), L),
-               (3 * L, 3 * L)]
+W = _NEWTON_WORK
+# (quotient length, deg(divisor)) of a single division on both sides of the
+# rule's edge k*db = W: 32*92 = 2,944 below and 32*94 = 3,008 past it, each
+# both ways round; shapes with a side under 32, which the earlier one-off
+# rule kept on the schoolbook loop: a one-term quotient (1*2,999 and
+# 1*3,000), a side of 10 (10*299 and 10*300), of 3 (3*1,000) and of 31
+# (31*128); and 96*96, far past the edge
+DIVMOD_SHAPES = [(31, 128), (128, 31), (32, 92), (92, 32), (32, 94), (94, 32),
+                 (96, 96), (1, W - 1), (1, W), (10, W // 10 - 1),
+                 (10, W // 10), (W // 10 - 1, 10), (W // 10, 10),
+                 (3, W // 3), (W // 3, 3)]
 
 
 @pytest.mark.parametrize("p", NEWTON_PRIMES)
-@pytest.mark.parametrize("k, db", ONCE_SHAPES)
-def test_divmod_matches_gf_div_around_the_newton_rule(p, k, db):
+@pytest.mark.parametrize("k, db", DIVMOD_SHAPES)
+def test_divmod_matches_gf_div_around_the_newton_rule(monkeypatch, p, k, db):
     F = FIELDS[p]
     rng = random.Random(k * db + p)
     b = Poly(F, [rng.randrange(p) for _ in range(db)] + [rng.randrange(1, p)])
-    once = min(k, db) >= L and k * db >= W
-    assert (_newton_inverse(b.coeffs, k, F, once=True) is not None) == once
+    built = []
+    newton_inverse = poly_module._newton_inverse
+
+    def counting(m, k, F):
+        built.append(k)
+        return newton_inverse(m, k, F)
+
+    monkeypatch.setattr(poly_module, "_newton_inverse", counting)
     for _ in range(3):
         a = Poly(F, [rng.randrange(p) for _ in range(db + k - 1)]
                  + [rng.randrange(1, p)])
         q, r = divmod(a, b)
         assert [to_gf(q), to_gf(r)] == list(
             galoistools.gf_div(to_gf(a), to_gf(b), p, ZZ))
+    # a single division counts only its own work, k*db: each of the three
+    # builds an inverse of its own or none does
+    assert built == ([k] * 3 if k * db >= W else [])
 
 
-# a Modulus keeps a Newton inverse once deg*(deg - 1) reaches
-# _NEWTON_MIN_WORK: degree 26 at the present bound, 25 just below it
-NEWTON_DEG = next(d for d in range(2, 100) if d * (d - 1) >= _NEWTON_MIN_WORK)
+# the least degree d whose first full squaring, a quotient of d - 1 terms,
+# does _NEWTON_WORK of work on its own: 56*55 = 3,080, while 55*54 = 2,970;
+# moduli of lower degree cross it part-way through the powers below, or
+# never
+NEWTON_DEG = next(d for d in range(2, 100) if d * (d - 1) >= W)
 
 
 @pytest.mark.parametrize("p", NEWTON_PRIMES)
-@pytest.mark.parametrize("deg", [3, NEWTON_DEG - 1, NEWTON_DEG, 45])
+@pytest.mark.parametrize("deg", [3, 25, 26, 45, NEWTON_DEG - 1, NEWTON_DEG])
 def test_shared_modulus_powmod_matches_gf_pow_mod(p, deg):
     F = FIELDS[p]
     rng = random.Random(deg * p)
     b = Poly(F, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
     mod = Modulus(b)
+    assert mod._newton is None
+    # squaring a residue of degree deg - 1 is one reduction, deg*(deg - 1)
+    c = Poly(F, [rng.randrange(p) for _ in range(deg - 1)]
+             + [rng.randrange(1, p)])
+    assert to_gf(c.powmod(2, mod)) == galoistools.gf_pow_mod(
+        to_gf(c), 2, to_gf(b), p, ZZ)
     assert (mod._newton is not None) == (deg >= NEWTON_DEG)
     # bases shorter than, as long as and longer than twice the modulus
     for n in (1, deg // 2, deg + 1, 2 * deg + 5):
@@ -184,23 +207,54 @@ def test_shared_modulus_powmod_matches_gf_pow_mod(p, deg):
 
 
 @pytest.mark.parametrize("p", NEWTON_PRIMES)
+def test_shared_modulus_crosses_the_newton_rule_mid_run(p):
+    # a Modulus of degree 20 counts 20*19 = 380 of work per squaring of a
+    # residue of degree 19 (a quotient of 19 terms): squarings 1-7 leave it
+    # at 2,660 < 3,000, and the 8th, at 3,040, builds the inverse, which
+    # serves that squaring and every later power
+    d = 20
+    crossing = -(-W // (d * (d - 1)))
+    assert crossing == 8
+    F = FIELDS[p]
+    rng = random.Random(p)
+    b = Poly(F, [rng.randrange(p) for _ in range(d)] + [1])
+    mod = Modulus(b)
+    for i in range(1, crossing + 3):
+        a = Poly(F, [rng.randrange(p) for _ in range(d - 1)]
+                 + [rng.randrange(1, p)])
+        assert to_gf(a.powmod(2, mod)) == galoistools.gf_pow_mod(
+            to_gf(a), 2, to_gf(b), p, ZZ)
+        assert (mod._newton is not None) == (i >= crossing)
+    for k in (0, 1, 3, p, 1000):
+        a = Poly(F, [rng.randrange(p) for _ in range(2 * d + 5)])
+        assert to_gf(a.powmod(k, mod)) == galoistools.gf_pow_mod(
+            to_gf(a), k, to_gf(b), p, ZZ)
+
+
+@pytest.mark.parametrize("p", NEWTON_PRIMES)
 @pytest.mark.parametrize("deg", [3, 12, 40])
 def test_remainder_by_a_modulus_matches_gf_rem(p, deg):
-    # `%` by a Modulus built for quotients of up to k terms: k just below
-    # and at the least one with k * deg >= _NEWTON_MIN_WORK, so the Newton
-    # and schoolbook kernels both meet the oracle, on dividends whose
-    # quotients run from none to k terms and one past it (schoolbook again)
+    # a.powmod(1, mod) is one reduction of a mod b, by the Modulus's
+    # prepared form.  The Modulus adds (quotient length)*deg of work for
+    # each and builds its inverse, for quotients of up to deg - 1 terms,
+    # once the sum reaches _NEWTON_WORK.  Quotients run from none to k
+    # terms and one past it: for k = deg - 1, the inverse's reach, then for
+    # the least k whose work alone crosses the rule, then for deg - 1
+    # again, so the Newton and schoolbook kernels both meet the oracle
     F = FIELDS[p]
     rng = random.Random(p * deg)
     b = Poly(F, [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)])
-    newton_k = -(-_NEWTON_MIN_WORK // deg)
-    for k in (newton_k - 1, newton_k):
-        mod = Modulus(b, k)
-        assert (mod._newton is not None) == (k == newton_k)
+    mod = Modulus(b)
+    work = 0
+    for k in (deg - 1, -(-W // deg), deg - 1):
         for n in (0, deg, deg + 1, deg + k // 2, deg + k, deg + k + 1):
             a = Poly(F, [rng.randrange(p) for _ in range(n)])
-            assert to_gf(a % mod) == galoistools.gf_rem(
+            if a.deg >= deg:
+                work += (a.deg - deg + 1) * deg
+            assert to_gf(a.powmod(1, mod)) == galoistools.gf_rem(
                 to_gf(a), to_gf(b), p, ZZ)
+            assert (mod._newton is not None) == (work >= W)
+    assert mod._newton is not None
 
 
 @given(pair())
