@@ -13,17 +13,18 @@ The build reduces nothing by division: every residue comes from one step
 table per modulus (`_step_table`, after table-driven CRC reduction).
 A_k = t*A_(k//q) + (k mod q), so each input's residue index is one look-up
 from its parent's, a level at a time.  The residue g(rp) mod P depends only
-on P and rp = B mod P, so it is found once per pair and kept for every later
-row with it: the value's coefficients, read from the top, walk P's step
-table to the residue's index (`_residue_walk`; over F_2, F_4 and F_16 a
-byte of the value's index per step, through two small tables derived from
-it, after Sarwate's byte-wise CRC).
+on P and rp = B mod P, and rp ranges over the inputs of degree < deg P,
+whose values are all known when P's level starts.  So each level reduces
+all of them mod all its new moduli in one batch (`_value_residues`), by
+the F_p-linear sum of `residues` on packed columns of their coordinates,
+with each modulus's map rows walked through its own step table
+(`_map_rows`), and keeps the residues for every later row.
 The lift memoises its terms per level (see `poly.CRTBasis`).  Certification
 reads its residues from the table's ResidueMap instead, which takes each
 value once mod the product of all the moduli and then reduces every input
-and value at once by F_p-linear maps on packed columns, so the two stay
-independent: step tables build, one product remainder and linear maps
-check.
+and value at once by the same linear sum, with map rows by shift-and-reduce
+(`residues._column_map`).  So the two share only that sum, which the
+tests check against one Poly division per residue.
 
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.  Certification builds the table's ResidueMap once:
@@ -94,62 +95,31 @@ def _step_table(p: Poly) -> array:
     return table
 
 
-def _bytewise(field) -> bool:
-    """Whether value residues walk a byte per step: over characteristic 2,
-    where the index of a sum is the XOR of the indices, when a byte holds
-    whole digits (q = 2, 4, 16 or 256)."""
-    return field.p == 2 and 8 % field.e == 0
+def _map_rows(step: array, field, d: int, L: int) -> list:
+    """The rows of the F_p-linear map taking a polynomial of degree < L to
+    the index of its residue mod P, from the step table S_P of a P of
+    degree d.  Column e*i+b holds the index of x^b * t^i mod P: t*A_j =
+    A_(j*q), so it is walked j <- S_P[j*q] from the index p^b of x^b, one
+    look-up a column.  Row o is base-p digit o of those indices."""
+    p, q = field.p, field.q
+    flat, js = [], [p ** b for b in range(field.e)]
+    for _ in range(L):
+        flat += js
+        js = [step[j * q] for j in js]
+    return [[j // po % p for j in flat]
+            for po in (p ** o for o in range(field.e * d))]
 
 
-def _byte_steps(step: array, q: int) -> tuple[array, array]:
-    """(Shift_P, Low_P) from S_P, for a `_bytewise` field with k digits a
-    byte (q^k = 256): Shift_P[j] is the index of A_j*t^k mod P for every
-    j < q^d, and Low_P[b] that of A_b mod P for every byte b, each k steps
-    of S_P.  So (A_j*t^k + A_b) mod P has index Shift_P[j] ^ Low_P[b]."""
-    shift = list(range(len(step) // q))
-    low = [0]
-    while len(low) < 256:
-        shift = [step[j * q] for j in shift]
-        low = [step[j * q + c] for j in low for c in range(q)]
-    return array(step.typecode, shift), array(step.typecode, low)
-
-
-def _walk_digits(field, v: Poly):
-    """What `_residue_walk` reads of a Poly v over field: for a `_bytewise`
-    field the bytes of v's index from the top, else v's coefficients."""
-    if _bytewise(field):
-        x = v.index()
-        return x.to_bytes((x.bit_length() + 7) // 8, "big")
-    return v.coeffs
-
-
-def _residue_walk(field, step: array):
-    """The function taking the `_walk_digits` of a Poly over field to the
-    index of its residue mod P, from P's step table S_P and no division.
-
-    A_(j*q + c) = t*A_j + c, so the coefficients of a value, read from the
-    top, walk j <- S_P[j*q + c] from j = 0 to the residue's index.  For a
-    `_bytewise` field a step takes a byte of the value's index instead of
-    a digit, through `_byte_steps`: j <- Shift_P[j] ^ Low_P[b] (after
-    Sarwate's byte-wise CRC, CACM 31(8), 1988).
-    """
-    q = field.q
-    if _bytewise(field):
-        shift, low = _byte_steps(step, q)
-
-        def walk(digits):
-            j = 0
-            for b in digits:
-                j = shift[j] ^ low[b]
-            return j
-        return walk
-
-    def walk(coeffs):
-        j = 0
-        for c in reversed(coeffs):
-            j = step[j * q + c]
-        return j
-    return walk
+def _value_residues(field, steps, d: int, values, code: str) -> list:
+    """For each step table S_P of a modulus P of degree d, the array of
+    type code of (v mod P).index() for every v of values: their columns
+    are packed once, and summed by each P's `_map_rows`."""
+    from .residues import _index_array, _value_columns
+    cols, s = _value_columns((v._kernel() for v in values), field,
+                             max(len(v.coeffs) for v in values))
+    L = len(cols) // field.e
+    return [_index_array(_map_rows(step, field, d, L), cols, field, s,
+                         len(values), code) for step in steps]
 
 
 def build_counterexample(field, D: int,
@@ -163,27 +133,28 @@ def build_counterexample(field, D: int,
             % (D, budget))
     q = field.q
     zero = Poly.zero(field)
-    # digits[k] = `_walk_digits` of g(A_k); constants map to zero
-    digits = [_walk_digits(field, zero)] * q
     # every residue mod a modulus of degree <= D, by index
     residue_polys = list(polys_up_to(field, D - 1))
     code = index_code(q ** D)
     rows = []
     irreds: list[Poly] = []
-    # per modulus: its step table, its `_residue_walk`, the residue indices
-    # of the previous level's inputs, and memo[r] = g(A_r) mod P, shared by
-    # every row whose input has residue index r
-    steps, walks, cols, memos = [], [], [], []
+    # per modulus: its step table, the residue indices of the previous
+    # level's inputs, and memo[r] = g(A_r) mod P for every r < q^deg P,
+    # shared by every row whose input has residue index r
+    steps, cols, memos = [], [], []
     for n in range(1, D + 1):
         new = enumerate_monic_irreducibles(field, n)
         base = q ** n
         irreds.extend(new)
         new_steps = [_step_table(p) for p in new]
         steps.extend(new_steps)
-        walks.extend(_residue_walk(field, s) for s in new_steps)
+        # the values at every input of degree < n are known: constants map
+        # to zero, and the rows so far hold the rest, in index order
+        known = [zero] * q + [row.value for row in rows]
+        memos.extend(list(map(residue_polys.__getitem__, a)) for a in
+                     _value_residues(field, new_steps, n, known, code))
         # the inputs of degree n - 1 are their own residues mod P of degree n
         cols.extend(range(base // q, base) for _ in new)
-        memos.extend([None] * base for _ in new)
         # A_k = t*A_(k//q) + (k mod q): one table step per input and modulus
         cols = [array(code, [s[r * q + c] for r in col for c in range(q)])
                 for s, col in zip(steps, cols)]
@@ -192,15 +163,8 @@ def build_counterexample(field, D: int,
         for k, krs in enumerate(zip(*cols), base):
             b = Poly.from_index(field, k)
             pairs = tuple(zip(irreds, map(residue_polys.__getitem__, krs)))
-            residues = []
-            for memo, walk, kr in zip(memos, walks, krs):
-                r = memo[kr]
-                if r is None:
-                    r = memo[kr] = residue_polys[walk(digits[kr])]
-                residues.append(r)
-            r = crt(residues, basis)
+            r = crt(list(map(list.__getitem__, memos, krs)), basis)
             value = r + modulus
-            digits.append(_walk_digits(field, value))
             rows.append(TraceRow(b=b, residue_pairs=pairs, crt_value=r,
                                  modulus=modulus, value=value))
     values = dict.fromkeys(polys_up_to(field, 0), zero)

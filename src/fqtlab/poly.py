@@ -49,8 +49,9 @@ unreduced slots (`_gcd_p`).
 `CRTBasis` lifts residues in Kronecker form: each cofactor M/P_i is packed
 into one int once per basis, with a block of 2e-1 slots per coefficient of
 t, and a lift sums the products of the short c_i with those ints and
-unpacks the sum once.  `residues.index_arrays` reduces many polynomials
-mod every modulus of a fixed list at once, on the same kernel layer.
+unpacks the sum once.  `residues._index_array`, one F_p-linear sum on
+packed columns, reduces many polynomials mod many moduli at once for both
+certify's residue map and the counterexample build.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ divided once, by M, and only when deg x >= deg M; then reduction mod every
 P_i is one F_p-linear map on packed columns of all the remainders at once.
 `domain_index_arrays` maps every polynomial of degree <= D the same way,
 with no division and no Poly.  `functable.ResidueMap` reads its residue
-indices from them.
+indices from them.  The sum `_index_array` has one more caller, the
+counterexample build, which takes its map rows from its own step tables.
 
 F_q[t]/(P), deg P = d, is F_p^(e*d): coordinate e*i+b of a residue is
 coordinate b (base-p digit b of the code) of its coefficient of t^i, so the
@@ -119,18 +120,30 @@ def _index_array(rows, cols, F, s: int, n: int, code: str) -> array:
     return out
 
 
-def _mapped_arrays(parts, moduli, F, n: int, code: str) -> list:
-    """The index arrays of n polynomials mod each of the moduli, from
-    their coordinates: parts[e*i+b] lists, for each byte u of a code, the n
-    bytes u of coordinate b of their coefficients of t^i.  Over
-    characteristic 2 a column holds one bit per polynomial and sums are
-    XOR; otherwise a slot of s bytes, by the slot rule."""
-    s = _slot_bytes(len(parts), F.p)  # len(parts) = e*L columns
-    cols = [_pack2(part[0]) if F.p == 2 else _slots(part, s)
-            for part in parts]
-    L = len(parts) // F.e
-    return [_index_array(_column_map(P._kernel(), L, F), cols, F, s, n, code)
-            for P in moduli]
+def _packed_columns(parts, F) -> tuple[list, int]:
+    """The columns of parts, packed a slot per polynomial, and the slot
+    bytes s: parts[j] lists the bytes u of coordinate j for each byte u."""
+    s = _slot_bytes(len(parts), F.p)
+    return [_pack2(part[0]) if F.p == 2 else _slots(part, s)
+            for part in parts], s
+
+
+def _value_columns(forms, F, L: int) -> tuple[list, int]:
+    """`_packed_columns` of the coordinates of kernel forms over F of
+    degree < L, up to the highest nonzero coefficient of any of them:
+    column e*i+b holds coordinate b of their coefficients of t^i."""
+    w = _coeff_bytes(F)
+    rows = bytearray()  # one row of coefficient codes per form
+    for r in forms:
+        rows += _coeff_row(r, L, F, w)
+    codes = [[rows[i * w + u::L * w] for u in range(w)] for i in range(L)]
+    while codes and not any(c.strip(b"\0") for c in codes[-1]):
+        codes.pop()
+    if F.e > 1:  # one byte a code, and one column a coordinate
+        digits = _byte_tables(F.p, F.e)[1]
+        codes = [[c[0].translate(digits[b])]
+                 for c in codes for b in range(F.e)]
+    return _packed_columns(codes, F)
 
 
 def index_arrays(moduli, xs, code: str) -> list:
@@ -138,27 +151,15 @@ def index_arrays(moduli, xs, code: str) -> list:
     (x mod P_i).index() for every x of xs, in order."""
     moduli = _nonzero_moduli(moduli)
     F = moduli[0].field
-    M = reduce(mul, moduli)
-    m, L = M._kernel(), M.deg
-    w = _coeff_bytes(F)
-    rows = bytearray()  # one row of coefficient codes per x
-    n = 0
-    for x in xs:
-        if x.field != F:
-            raise ValueError("mixed-field polynomial operation")
-        # x mod M; _krem returns x as is when deg x < deg M
-        rows += _coeff_row(_krem(x._kernel(), m, F), L, F, w)
-        n += 1
-    # the maps need columns up to the highest nonzero coefficient
-    digits = _byte_tables(F.p, F.e)[1]
-    zero = bytes(n)
-    codes = [[rows[i * w + u::L * w] for u in range(w)] for i in range(L)]
-    while codes and all(c == zero for c in codes[-1]):
-        codes.pop()
-    if F.e > 1:  # one byte a code, and one column a coordinate
-        codes = [[c[0].translate(digits[b])]
-                 for c in codes for b in range(F.e)]
-    return _mapped_arrays(codes, moduli, F, n, code)
+    M, xs = reduce(mul, moduli), list(xs)
+    if any(x.field != F for x in xs):
+        raise ValueError("mixed-field polynomial operation")
+    # x mod M; _krem returns x as is when deg x < deg M
+    cols, s = _value_columns((_krem(x._kernel(), M._kernel(), F) for x in xs),
+                             F, M.deg)
+    L = len(cols) // F.e
+    return [_index_array(_column_map(P._kernel(), L, F), cols, F, s,
+                         len(xs), code) for P in moduli]
 
 
 def domain_index_arrays(moduli, D: int, code: str) -> list:
@@ -174,4 +175,6 @@ def domain_index_arrays(moduli, D: int, code: str) -> list:
                         for c in range(p)]) * (n // p ** (pos + 1))
               for u in range(_coeff_bytes(F))]
              for pos in range(F.e * (D + 1))]
-    return _mapped_arrays(parts, moduli, F, n, code)
+    cols, s = _packed_columns(parts, F)
+    return [_index_array(_column_map(P._kernel(), D + 1, F), cols, F, s, n,
+                         code) for P in moduli]

@@ -3,9 +3,10 @@
 `reference_build` is the construction written plainly: per degree level one
 Poly-form CRT basis (`test_crt.reference_basis`), and per row one division
 `values[rp] % P` for every modulus P, each lift summed as Poly.  The
-library takes input residues from step tables, walks each (modulus,
-residue) pair's value residue through them once and lifts in packed form
-with memoised terms; its table and every trace row must be equal to these.
+library takes input residues from step tables, reduces the values it
+needs mod each level's new moduli in one batch, by linear maps whose rows
+come from the same tables, and lifts in packed form with memoised terms;
+its table and every trace row must be equal to these.
 """
 
 from collections import Counter
@@ -13,14 +14,16 @@ from collections import Counter
 import pytest
 
 from fqtlab import CRTBasis, FiniteField, Poly, build_counterexample
+from fqtlab import counterexample
 from fqtlab import poly as poly_module
-from fqtlab.counterexample import ConstructionTrace, TraceRow
+from fqtlab.counterexample import ConstructionTrace, TraceRow, _step_table
 from fqtlab.functable import FuncTable
 from fqtlab.irreducibles import (count_irreducibles,
                                  enumerate_monic_irreducibles,
                                  irreducible_product)
 from fqtlab.poly import Modulus, polys_up_to
 
+from helpers import direct_indices
 from test_crt import reference_basis
 
 
@@ -72,10 +75,10 @@ def test_build_division_count(monkeypatch):
     # 2 * (2 + 3 + 5 + 8 + 14) = 64, and 94 in the xgcds for the inverses.
     # That is 74 + (64 + 94) = 232 Poly divisions.  poly_gcd runs on packed
     # ints and makes no Poly division.  Its 62 rows hold 632 (row, modulus)
-    # pairs: each b mod P is a step-table look-up, no division (it was 632
-    # divisions), and values[rp] mod P is walked through P's step table
-    # once per distinct (modulus, rp) pair, 264 of them, so no value is
-    # reduced by a `Modulus`.  The lifts make no Poly division, and
+    # pairs, 264 of them distinct: each b mod P is a step-table look-up, no
+    # division (it was 632 divisions), and each level's batch reduces every
+    # value it needs mod the new moduli by linear maps, no division, so no
+    # value is reduced by a `Modulus`.  The lifts make no Poly division, and
     # each level's basis reduces r*u mod P once per distinct (modulus,
     # residue) pair, on kernel forms: 154 memo misses of the 632 pairs.  A
     # modulus of degree d sees the same value residues at every level n >= d
@@ -129,3 +132,32 @@ def test_build_division_count(monkeypatch):
     triples = {(row.b.deg, p.coeffs, (table.lookup(rp) % p).coeffs)
                for row in trace.rows for p, rp in row.residue_pairs}
     assert sum(misses.values()) == len(triples) == 154
+
+
+@pytest.mark.parametrize("q, D", [(2, 5), (3, 3), (4, 3)])
+def test_build_memos_match_direct_indices(monkeypatch, q, D):
+    # the build makes one batch per level n, over the moduli of degree n
+    # and the values at every input of degree < n, in index order; each
+    # batch residue, which the build keeps in the memo of its (modulus,
+    # residue) pair, equals that of one Poly division
+    field = FiniteField(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
+    batches = []
+    value_residues = counterexample._value_residues
+
+    def recording(field, steps, d, values, code):
+        arrays = value_residues(field, steps, d, values, code)
+        batches.append((steps, d, values, arrays))
+        return arrays
+
+    monkeypatch.setattr(counterexample, "_value_residues", recording)
+    table, _ = build_counterexample(field, D)
+    assert len(batches) == D
+    for n, (steps, d, values, arrays) in enumerate(batches, 1):
+        moduli = enumerate_monic_irreducibles(field, n)
+        assert d == n
+        assert list(steps) == [_step_table(p) for p in moduli]
+        assert values == [table.lookup(Poly.from_index(field, r))
+                          for r in range(q ** n)]
+        assert [list(a) for a in arrays] == [
+            list(col) for col in zip(*(direct_indices(moduli, v)
+                                       for v in values))]

@@ -6,8 +6,10 @@ import pytest
 
 from fqtlab import (BudgetExceeded, FiniteField, Poly, build_counterexample,
                     certify_counterexample, degree_sum, verify_p3)
-from fqtlab.counterexample import _residue_walk, _step_table, _walk_digits
+from fqtlab.counterexample import _map_rows, _step_table, _value_residues
+from fqtlab.functable import index_code
 from fqtlab.irreducibles import enumerate_monic_irreducibles
+from fqtlab.residues import _column_map
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -171,29 +173,46 @@ def test_step_table_matches_division(field, D):
                 (Poly.from_index(field, j) % p).index() for j in js]
 
 
-# F_2, F_4 and F_16 walk a byte per step (8, 4 and 2 digits), the others a
-# digit
-WALK_FIELDS = [(F2, 6), (F3, 3), (FiniteField(2, 2), 3), (FiniteField(5), 2),
-               (FiniteField(2, 3), 2), (FiniteField(3, 2), 2),
-               (FiniteField(2, 4), 2)]
+# F_16 is the one field here with four coordinates a coefficient; F_9
+# twice, as above
+VALUE_FIELDS = [(F2, 6), (F3, 3), (FiniteField(2, 2), 3), (FiniteField(5), 2),
+                (FiniteField(2, 3), 2), (FiniteField(3, 2), 2),
+                (FiniteField(2, 4), 2), (FiniteField(3, 2, (2, 1, 1)), 2)]
+VALUE_IDS = ["F2", "F3", "F4", "F5", "F8", "F9", "F16", "F9b"]
 
 
-@pytest.mark.parametrize("field, D", WALK_FIELDS,
-                         ids=["F2", "F3", "F4", "F5", "F8", "F9", "F16"])
-def test_residue_walk_matches_division(field, D):
-    # a value's residue index, walked through P's step table (a byte of its
-    # index per step through Shift_P and Low_P over F_2, F_4 and F_16),
-    # equals that of v % P: for the zero value, values shorter than a
-    # byte, exactly a byte or two long, and values spanning many bytes (up
-    # to degree 300)
+def sample_values(field):
+    """The zero value, 1, t, and seeded values of lengths 3 to 301."""
     rng = random.Random(field.q)
     q = field.q
     values = [Poly.zero(field), Poly.one(field), Poly.gen(field)]
     for n in (3, 7, 8, 9, 16, 17, 64, 200, 301):
         values.append(Poly(field, [rng.randrange(q) for _ in range(n - 1)]
                            + [rng.randrange(1, q)]))
+    return values
+
+
+@pytest.mark.parametrize("field, D", VALUE_FIELDS, ids=VALUE_IDS)
+def test_map_rows_match_column_map(field, D):
+    # the build's map rows, walked through P's step table, equal the rows
+    # certify computes by shift-and-reduce, on the columns the sample
+    # values need (over F_2 certify's rows are bytes)
+    L = max(len(v.coeffs) for v in sample_values(field))
     for d in range(1, D + 1):
         for p in enumerate_monic_irreducibles(field, d):
-            walk = _residue_walk(field, _step_table(p))
-            assert [walk(_walk_digits(field, v)) for v in values] == [
-                (v % p).index() for v in values]
+            assert _map_rows(_step_table(p), field, d, L) == [
+                list(row) for row in _column_map(p._kernel(), L, field)]
+
+
+@pytest.mark.parametrize("field, D", VALUE_FIELDS, ids=VALUE_IDS)
+def test_batch_residues_match_division(field, D):
+    # one batch per degree reduces every value mod every modulus of that
+    # degree: each residue index equals that of v % P
+    values = sample_values(field)
+    code = index_code(field.q ** D)
+    for d in range(1, D + 1):
+        moduli = enumerate_monic_irreducibles(field, d)
+        batch = _value_residues(field, [_step_table(p) for p in moduli], d,
+                                values, code)
+        assert [list(a) for a in batch] == [
+            [(v % p).index() for v in values] for p in moduli]
