@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded, power_exceeds
 from .functable import FuncTable, ResidueMap, index_code, verify_p3
 from .irreducibles import enumerate_monic_irreducibles, irreducible_product
-from .poly import CRTBasis, Poly, crt, polys_up_to
+from .poly import CRTBasis, Poly, _klen, crt, polys_up_to
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def _value_residues(field, steps, d: int, values, code: str) -> list:
     type code of (v mod P).index() for every v of values: their columns
     are packed once, and summed by each P's `_map_rows`."""
     from .residues import _index_array, _value_columns
-    cols, s = _value_columns((v._kernel() for v in values), field,
-                             max(len(v.coeffs) for v in values))
+    forms = [v._k for v in values]
+    cols, s = _value_columns(forms, field, max(_klen(x, field) for x in forms))
     L = len(cols) // field.e
     return [_index_array(_map_rows(step, field, d, L), cols, field, s,
                          len(values), code) for step in steps]

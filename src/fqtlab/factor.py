@@ -46,8 +46,9 @@ def pth_root(a: Poly) -> Poly:
     """The unique b with b^p = a; requires every exponent divisible by p."""
     F = a.field
     p = F.p
-    out = [0] * (len(a.coeffs) // p + 1)
-    for i, c in enumerate(a.coeffs):
+    cs = a.coeffs
+    out = [0] * (len(cs) // p + 1)
+    for i, c in enumerate(cs):
         if c and i % p:
             raise ValueError("input is not a p-th power")
         if c:

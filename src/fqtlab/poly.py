@@ -1,25 +1,26 @@
 """Dense univariate polynomials over a finite field, in the variable t.
 
-Coefficients are stored little-endian as a tuple of field element codes with
-no trailing zeros, so equal polynomials compare and hash equal.  The zero
-polynomial has degree NEG_INF, a sentinel that is below every integer and
-absorbing under degree arithmetic.
+A Poly holds one form, its kernel form `_k`: a bit-packed int over GF(2)
+(bit i is the coefficient of t^i), the tuple of element codes, little-endian,
+otherwise; neither has trailing zeros, so equal polynomials compare and hash
+equal.  `coeffs`, the code tuple, is derived from the form on each read.
+The zero polynomial has degree NEG_INF, a sentinel that is below every
+integer and absorbing under degree arithmetic.
 
-Canonical order: first by degree, then coefficient tuples compared from the
+Canonical order: first by degree, then coefficients compared from the
 highest index down.  Equivalently, polynomials of a fixed field are ordered
-by their index sum(code(c_i) * q^i), which `index`/`from_index` expose; all
-enumeration in the package walks indices ascending.
+by their index sum(code(c_i) * q^i), which `index`/`from_index` expose and
+`sort_key` is; all enumeration in the package walks indices ascending.
 
-Arithmetic runs on kernel forms: a bit-packed int over GF(2) (bit i is the
-coefficient of t^i), the coefficient sequence otherwise.  One private layer
-picks the kernel by field kind, one routine per job: `_kmul` multiplies,
-`_kadd` adds, `_krem` takes a remainder, `_kpow` is the one
-square-and-multiply loop, `_kindex` the one index loop, `_newton_inverse`
-the one builder of Newton data, and `Poly._wrap` the only way back to a
-Poly.  `Poly.__mul__`, `+`, `**`, `scaled`, `_horner`, `Modulus`,
-`poly_gcd` (over GF(2) and extension fields), `CRTBasis.lift` and
-`residues.index_arrays` all go through it; `Poly.__divmod__` is the only
-path that returns a quotient.  The results never depend on the kernel chosen.
+Arithmetic runs on kernel forms.  One private layer picks the kernel by
+field kind, one routine per job: `_kmul` multiplies, `_kadd` adds, `_krem`
+takes a remainder, `_kpow` is the one square-and-multiply loop, `_kindex`
+the one index loop, `_klen` the one length, `_newton_inverse` the one
+builder of Newton data, and `Poly._make` the one way back to a Poly.
+`Poly.__mul__`, `+`, `**`, `scaled`, `_horner`, `Modulus`, `poly_gcd` (over
+GF(2) and extension fields), `CRTBasis.lift` and `residues.index_arrays` all
+go through it; `Poly.__divmod__` is the only path that returns a quotient.
+The results never depend on the kernel chosen.
 
 GF(2) forms multiply and reduce by shifts and XOR at every length.  Other
 prime fields run loops on plain ints, reduced mod p once at the end; once
@@ -48,10 +49,11 @@ unreduced slots (`_gcd_p`).
 
 `CRTBasis` lifts residues in Kronecker form: each cofactor M/P_i is packed
 into one int once per basis, with a block of 2e-1 slots per coefficient of
-t, and a lift sums the products of the short c_i with those ints and
-unpacks the sum once.  `residues._index_array`, one F_p-linear sum on
-packed columns, reduces many polynomials mod many moduli at once for both
-certify's residue map and the counterexample build.
+t, and a lift sums the products of the short c_i with those ints; over
+GF(2) the sum is the lift's kernel form, otherwise it is unpacked once.
+`residues._index_array`, one F_p-linear sum on packed columns, reduces many
+polynomials mod many moduli at once for both certify's residue map and the
+counterexample build.
 """
 
 from __future__ import annotations
@@ -302,10 +304,17 @@ def _mul_ext(a, b, F) -> list:
 # -- the kernel layer --------------------------------------------------------
 #
 # A kernel form is a bit-packed int over GF(2) and a coefficient sequence
-# without trailing zeros otherwise (`Poly._kernel` gives it, `Poly._wrap`
-# takes it back).  Every product, sum and remainder on kernel forms goes
-# through _kmul, _kadd and _krem, and every Newton inverse through
-# _newton_inverse.
+# without trailing zeros otherwise.  A Poly holds nothing else: its `_k` is
+# its form, and `Poly._make` wraps a form (as a tuple, so kernels may return
+# lists).  Every product, sum and remainder on kernel forms goes through
+# _kmul, _kadd and _krem, and every Newton inverse through _newton_inverse.
+
+
+def _kstrip(cs: list) -> list:
+    """A list of codes without its trailing zeros, popped in place."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
 def _kmul(a, b, F):
@@ -337,9 +346,7 @@ def _kadd(a, b, F):
         add = F._add
         out = [add[x][y] for x, y in zip(a, b)]
     out.extend(a[len(b):])
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _kstrip(out)
 
 
 def _krem(a, b, F, newton=None):
@@ -349,10 +356,8 @@ def _krem(a, b, F, newton=None):
         return _rem2(a, b)
     if len(a) < len(b):
         return a
-    r = _rem_ext(a, b, F) if F.e > 1 else _divmod_p(a, b, F.p, newton)[1]
-    while r and not r[-1]:
-        r.pop()
-    return r
+    return _kstrip(_rem_ext(a, b, F) if F.e > 1
+                   else _divmod_p(a, b, F.p, newton)[1])
 
 
 def _newton_inverse(m, k, F):
@@ -384,6 +389,11 @@ def _kpow(x, k: int, F, reduce=lambda a: a):
         if k:
             x = reduce(_kmul(x, x, F))
     return r
+
+
+def _klen(x, F) -> int:
+    """The number of coefficients of a kernel form, to its top nonzero one."""
+    return x.bit_length() if F.q == 2 else len(x)
 
 
 def _kindex(x, F) -> int:
@@ -421,7 +431,7 @@ class Modulus:
             raise ZeroDivisionError("polynomial division by zero")
         F = modulus.field
         self.poly = modulus
-        self._m = modulus._kernel()
+        self._m = modulus._k
         self._newton = None
         self._work = None if F.q == 2 or F.e > 1 else 0
 
@@ -444,9 +454,9 @@ class Modulus:
 
 
 class Poly:
-    """Immutable dense polynomial over a FiniteField."""
+    """Immutable dense polynomial over a FiniteField, held as its form `_k`."""
 
-    __slots__ = ("field", "coeffs", "_pk")  # _pk: GF(2) packed int, on demand
+    __slots__ = ("field", "_k")
 
     def __init__(self, field: FiniteField, coeffs=()):
         cs = [int(c) for c in coeffs]
@@ -454,93 +464,97 @@ class Poly:
         for c in cs:
             if not (0 <= c < q):
                 raise ValueError("coefficient code %r out of range for q=%d" % (c, q))
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
-        self._pk = None
+        self._k = _pack2(cs) if q == 2 else tuple(_kstrip(cs))
 
     @classmethod
-    def _make(cls, field, coeffs: tuple) -> "Poly":
-        # trusted constructor: coeffs already normalized
+    def _make(cls, field, k) -> "Poly":
+        """The Poly of a kernel form: trusted, k has no trailing zeros."""
         obj = object.__new__(cls)
         obj.field = field
-        obj.coeffs = coeffs
-        obj._pk = None
+        obj._k = k if field.q == 2 else tuple(k)
         return obj
-
-    @classmethod
-    def _from_list(cls, field, cs: list) -> "Poly":
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls._make(field, tuple(cs))
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zero(cls, field) -> "Poly":
-        return cls._make(field, ())
+        return cls.from_index(field, 0)
 
     @classmethod
     def one(cls, field) -> "Poly":
-        return cls._make(field, (1,))
+        return cls.from_index(field, 1)
 
     @classmethod
     def gen(cls, field) -> "Poly":
         """The polynomial t."""
-        return cls._make(field, (0, 1))
+        return cls.from_index(field, field.q)
 
     @classmethod
     def constant(cls, field, c: int) -> "Poly":
         if not (0 <= c < field.q):
             raise ValueError("constant code out of range")
-        return cls._make(field, (c,) if c else ())
+        return cls.from_index(field, c)
 
     @classmethod
     def from_index(cls, field, k: int) -> "Poly":
         if k < 0:
             raise ValueError("index must be nonnegative")
-        cs = []
         q = field.q
+        if q == 2:
+            return cls._make(field, k)
+        cs = []
         while k:
             cs.append(k % q)
             k //= q
-        return cls._make(field, tuple(cs))
+        return cls._make(field, cs)
 
     def index(self) -> int:
-        return _kindex(self._kernel(), self.field)
+        return _kindex(self._k, self.field)
 
     # -- basic queries ----------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The code tuple; over GF(2) unpacked from the form on each read."""
+        k = self._k
+        return tuple(_unpack2(k)) if self.field.q == 2 else k
+
+    @property
     def deg(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        # `_klen` inline: deg is read in the inner loops of every module
+        k = self._k
+        if not k:
+            return NEG_INF
+        return (k.bit_length() if self.field.q == 2 else len(k)) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._k
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._k)
 
     @property
     def lc(self) -> int:
-        if not self.coeffs:
+        k = self._k
+        if not k:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return 1 if self.field.q == 2 else k[-1]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self._k) and self.lc == 1
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return _klen(self._k, self.field) <= 1
 
     def coefficient(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        cs = self.coeffs
+        return cs[i] if 0 <= i < len(cs) else 0
 
     # -- ordering, hashing -------------------------------------------------------
 
     def sort_key(self):
-        return (len(self.coeffs), tuple(reversed(self.coeffs)))
+        return self.index()
 
     # `is` first: polynomials almost always share one field object, and
     # FiniteField.__eq__ compares three attributes
@@ -553,10 +567,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return ((self.field is other.field or self.field == other.field)
-                and self.coeffs == other.coeffs)
+                and self._k == other._k)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._k))
 
     def __lt__(self, other):
         self._check_same_field(other)
@@ -574,33 +588,14 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------------
 
-    def _kernel(self):
-        """The kernel form: the bit-packed int over GF(2), packed once per
-        Poly, and the coefficient tuple otherwise."""
-        if self.field.q != 2:
-            return self.coeffs
-        pk = self._pk
-        if pk is None:
-            pk = self._pk = _pack2(self.coeffs)
-        return pk
-
-    @classmethod
-    def _wrap(cls, field, x) -> "Poly":
-        """The Poly of a kernel form."""
-        if field.q != 2:
-            return cls._make(field, tuple(x))
-        obj = cls._make(field, tuple(_unpack2(x)))
-        obj._pk = x
-        return obj
-
     def __add__(self, other):
         self._check_same_field(other)
-        if not other.coeffs:
+        if not other._k:
             return self
-        if not self.coeffs:
+        if not self._k:
             return other
         F = self.field
-        return Poly._wrap(F, _kadd(self._kernel(), other._kernel(), F))
+        return Poly._make(F, _kadd(self._k, other._k, F))
 
     def __neg__(self):
         F = self.field
@@ -608,9 +603,9 @@ class Poly:
             return self
         if F.e == 1:
             p = F.p
-            return Poly._make(F, tuple(p - c if c else 0 for c in self.coeffs))
+            return Poly._make(F, tuple(p - c if c else 0 for c in self._k))
         neg = F._neg
-        return Poly._make(F, tuple(neg[c] for c in self.coeffs))
+        return Poly._make(F, tuple(neg[c] for c in self._k))
 
     def __sub__(self, other):
         return self + -other
@@ -618,34 +613,34 @@ class Poly:
     def __mul__(self, other):
         self._check_same_field(other)
         F = self.field
-        return Poly._wrap(F, _kmul(self._kernel(), other._kernel(), F))
+        return Poly._make(F, _kmul(self._k, other._k, F))
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
         F = self.field
-        return Poly._wrap(F, _kpow(self._kernel(), k, F))
+        return Poly._make(F, _kpow(self._k, k, F))
 
     def __divmod__(self, other):
         self._check_same_field(other)
         F = self.field
-        if other.is_zero():
+        a, b = self._k, other._k
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        a, bc = self.coeffs, other.coeffs
-        db = len(bc) - 1
-        if len(a) - 1 < db:
-            return Poly.zero(F), self
         if F.q == 2:
-            q, r = _divmod2(self._kernel(), other._kernel())
-            return Poly._wrap(F, q), Poly._wrap(F, r)
+            q, r = _divmod2(a, b)
+            return Poly._make(F, q), Poly._make(F, r)
+        db = len(b) - 1
+        k = len(a) - db
+        if k <= 0:
+            return Poly.zero(F), self
         if F.e > 1:
-            q = [0] * (len(a) - db)
-            r = _rem_ext(a, bc, F, q)
+            q = [0] * k
+            r = _rem_ext(a, b, F, q)
         else:
-            k = len(a) - db
-            q, r = _divmod_p(a, bc, F.p, _newton_inverse(bc, k, F)
+            q, r = _divmod_p(a, b, F.p, _newton_inverse(b, k, F)
                              if k * db >= _NEWTON_WORK else None)
-        return Poly._wrap(F, q), Poly._from_list(F, r)
+        return Poly._make(F, q), Poly._make(F, _kstrip(r))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -660,24 +655,24 @@ class Poly:
         if not isinstance(modulus, Modulus):
             modulus = Modulus(modulus)
         self._check_same_field(modulus.poly)
-        return Poly._wrap(self.field, modulus._pow(self._kernel(), k))
+        return Poly._make(self.field, modulus._pow(self._k, k))
 
     def shifted(self, k: int) -> "Poly":
         """self * t^k."""
         if k < 0:
             raise ValueError("negative shift")
-        if not self.coeffs:
+        x = self._k
+        if not x:
             return self
-        return Poly._make(self.field, (0,) * k + self.coeffs)
+        return Poly._make(self.field,
+                          x << k if self.field.q == 2 else (0,) * k + x)
 
     # -- calculus, evaluation ---------------------------------------------------
 
     def derivative(self) -> "Poly":
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(F.mul(self.coeffs[i], i % F.p))
-        return Poly._from_list(F, out)
+        cs = self.coeffs
+        return Poly(F, [F.mul(cs[i], i % F.p) for i in range(1, len(cs))])
 
     def evaluate(self, c: int) -> int:
         F = self.field
@@ -687,9 +682,9 @@ class Poly:
         return r
 
     def monic(self) -> "Poly":
-        if self.is_zero() or self.coeffs[-1] == 1:
+        if self.is_zero() or self.lc == 1:
             return self
-        return self.scaled(self.field.inv(self.coeffs[-1]))
+        return self.scaled(self.field.inv(self.lc))
 
     def scaled(self, c: int) -> "Poly":
         F = self.field
@@ -698,7 +693,7 @@ class Poly:
             return Poly.zero(F)
         if c == 1:
             return self
-        return Poly._wrap(F, _kmul(self._kernel(), (c,), F))
+        return Poly._make(F, _kmul(self._k, (c,), F))
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
@@ -710,11 +705,11 @@ class Poly:
 def _horner(cs, z: Poly) -> Poly:
     """sum cs[j] * z^j in F_q[t], on kernel forms; zero for an empty cs."""
     F = z.field
-    x = z._kernel()
+    x = z._k
     acc = 0 if F.q == 2 else []
     for c in reversed(cs):
-        acc = _kadd(_kmul(acc, x, F), c._kernel(), F)
-    return Poly._wrap(F, acc)
+        acc = _kadd(_kmul(acc, x, F), c._k, F)
+    return Poly._make(F, acc)
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -815,12 +810,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """The monic gcd of a and b; zero if both are zero."""
     a._check_same_field(b)
     F = a.field
-    if F.e == 1 and F.p > 2 and a.coeffs and b.coeffs:
-        return Poly._wrap(F, _gcd_p(a.coeffs, b.coeffs, F.p))
-    x, y = a._kernel(), b._kernel()
+    x, y = a._k, b._k
+    if F.e == 1 and F.p > 2 and x and y:
+        return Poly._make(F, _gcd_p(x, y, F.p))
     while y:
         x, y = y, _krem(x, y, F)
-    return Poly._wrap(F, x).monic()
+    return Poly._make(F, x).monic()
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -885,8 +880,7 @@ def _blocks_unpack(x: int, F, s: int, n: int) -> list:
     if F.p > 2:
         slots = _kron_slots(x.to_bytes(n * w * s, "little"), s, n * w, F.p)
     else:
-        slots = _unpack2(x)
-        slots += bytes(n * w - len(slots))
+        slots = _unpack2(x).ljust(n * w, b"\0")
     if w == 1:
         return list(slots)
     keys = slots[::w]
@@ -917,16 +911,16 @@ class CRTBasis:
     that gives u_i checks coprimality too: gcd(C_i mod P_i, P_i) is 1 iff
     P_i is coprime to every other modulus.  `lift` takes each short
     c_i = r_i*u_i mod P_i on kernel forms (`_kmul`, the Modulus's
-    `_reduce`), adds c_i*C_i into one packed int and unpacks that once:
-    no Poly is built per modulus and no field method is called per
-    coefficient.  Each term memoises its packed c_i by r_i's kernel form,
-    for reduced r_i only (deg r_i < deg P_i), so a term holds at most
-    q^deg P_i of them, and a lift whose residues recur costs one look-up,
-    one product and one sum per term; the field check runs before the
-    look-up.  An odd-p slot of the sum adds at most
-    deg M * e products of two coordinates (c_i has deg P_i terms, and a
-    slot pairs up at most e coordinates), so slots sized for that bound
-    never carry.
+    `_reduce`) and adds c_i*C_i into one packed int.  Over GF(2) that int
+    is the lift's kernel form; otherwise it is unpacked once.  No Poly is
+    built per modulus and no field method is called per coefficient.
+    Each term memoises its packed c_i by r_i's kernel form, for reduced r_i
+    only (deg r_i < deg P_i), so a term holds at most q^deg P_i of them,
+    and a lift whose residues recur costs one look-up, one product and one
+    sum per term; the field check runs before the look-up.  An odd-p slot
+    of the sum adds at most deg M * e products of two coordinates (c_i has
+    deg P_i terms, and a slot pairs up at most e coordinates), so slots
+    sized for that bound never carry.
     """
 
     __slots__ = ("modulus", "_terms", "_slot")
@@ -951,8 +945,7 @@ class CRTBasis:
                 raise NotCoprime(
                     "moduli %d and %d share a nonconstant factor" % (i, j),
                     (i, j))
-            terms.append((Modulus(m), u._kernel(),
-                          _blocks_pack(cof._kernel(), F, s), {}))
+            terms.append((Modulus(m), u._k, _blocks_pack(cof._k, F, s), {}))
         self.modulus = total
         self._terms = tuple(terms)
         self._slot = s
@@ -976,7 +969,7 @@ class CRTBasis:
                 if r.field != F:
                     raise ValueError("mixed-field polynomial operation")
                 seen = r.field
-            x = r._kernel()
+            x = r._k
             c = memo.get(x)
             if c is None:
                 c = _blocks_pack(m._reduce(_kmul(x, u, F)), F, s)
@@ -984,8 +977,10 @@ class CRTBasis:
                     memo[x] = c
             if c:
                 acc = acc ^ _mul2(c, cof) if F.p == 2 else acc + c * cof
-        return Poly._from_list(
-            F, _blocks_unpack(acc, F, s, len(self.modulus.coeffs) - 1))
+        if F.q == 2:  # the packed sum is the kernel form
+            return Poly._make(F, acc)
+        return Poly._make(F, _kstrip(_blocks_unpack(acc, F, s,
+                                                    self.modulus.deg)))
 
 
 def crt(residues, moduli) -> Poly:
@@ -1030,9 +1025,10 @@ def format_poly(a: Poly) -> str:
     F = a.field
     if a.is_zero():
         return "0"
+    cs = a.coeffs
     parts = []
-    for i in range(len(a.coeffs) - 1, -1, -1):
-        c = a.coeffs[i]
+    for i in range(len(cs) - 1, -1, -1):
+        c = cs[i]
         if not c:
             continue
         if i == 0:

@@ -124,14 +124,14 @@ def _system_rows(entries, budget: int, what: str, ncols: int = 0) -> list:
     rows = []
     nrows = 0
     for cols in entries:
-        height = max((len(b.coeffs) + i for b, i in cols if b.coeffs),
-                     default=0)
+        codes = [(b.coeffs, i) for b, i in cols]
+        height = max((len(cs) + i for cs, i in codes if cs), default=0)
         nrows += height
         if nrows * len(cols) > budget:
             raise BudgetExceeded(refusal)
         pad = (0,) * height
-        rows.extend(zip(*[((0,) * i + b.coeffs + pad)[:height]
-                          for b, i in cols]))
+        rows.extend(zip(*[((0,) * i + cs + pad)[:height]
+                          for cs, i in codes]))
     return rows
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from itertools import compress
 from operator import mul, xor
 
-from .poly import (_SWAP, _block_tables, _krem, _kron_pack,
+from .poly import (_SWAP, _block_tables, _klen, _krem, _kron_pack,
                    _kron_slots, _nonzero_moduli, _pack2, _slot_bytes,
                    _unpack2)
 
@@ -76,7 +76,7 @@ def _column_map(m, L: int, F) -> list:
     lists coordinate o of x^b * t^i mod P for each column e*i+b, and the
     columns come by shift-and-reduce."""
     e, p, q = F.e, F.p, F.q
-    d = m.bit_length() - 1 if q == 2 else len(m) - 1
+    d = _klen(m, F) - 1
     by_b = []
     for b in range(e):
         # x^b has code p^b; a unit P leaves every residue 0
@@ -155,10 +155,9 @@ def index_arrays(moduli, xs, code: str) -> list:
     if any(x.field != F for x in xs):
         raise ValueError("mixed-field polynomial operation")
     # x mod M; _krem returns x as is when deg x < deg M
-    cols, s = _value_columns((_krem(x._kernel(), M._kernel(), F) for x in xs),
-                             F, M.deg)
+    cols, s = _value_columns((_krem(x._k, M._k, F) for x in xs), F, M.deg)
     L = len(cols) // F.e
-    return [_index_array(_column_map(P._kernel(), L, F), cols, F, s,
+    return [_index_array(_column_map(P._k, L, F), cols, F, s,
                          len(xs), code) for P in moduli]
 
 
@@ -176,5 +175,5 @@ def domain_index_arrays(moduli, D: int, code: str) -> list:
               for u in range(_coeff_bytes(F))]
              for pos in range(F.e * (D + 1))]
     cols, s = _packed_columns(parts, F)
-    return [_index_array(_column_map(P._kernel(), D + 1, F), cols, F, s, n,
+    return [_index_array(_column_map(P._k, D + 1, F), cols, F, s, n,
                          code) for P in moduli]

@@ -9,6 +9,7 @@ come from the same tables, and lifts in packed form with memoised terms;
 its table and every trace row must be equal to these.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -161,3 +162,16 @@ def test_build_memos_match_direct_indices(monkeypatch, q, D):
         assert [list(a) for a in arrays] == [
             list(col) for col in zip(*(direct_indices(moduli, v)
                                        for v in values))]
+
+
+def test_trace_values_hold_packed_forms():
+    # over GF(2) a Poly holds only its packed int: the (2, 8) trace's 1,018
+    # values and lifts take 0.11 MB (sys.getsizeof), where a tuple of
+    # coefficients beside each took 2.3 MB
+    _, trace = build_counterexample(FiniteField(2), 8)
+    polys = {id(p): p for row in trace.rows
+             for p in (row.value, row.crt_value)}
+    assert all(type(p._k) is int for p in polys.values())
+    held = sum(sys.getsizeof(p) + sys.getsizeof(p._k)
+               for p in polys.values())
+    assert held < 0.25 * 2 ** 20

@@ -201,7 +201,7 @@ def test_map_rows_match_column_map(field, D):
     for d in range(1, D + 1):
         for p in enumerate_monic_irreducibles(field, d):
             assert _map_rows(_step_table(p), field, d, L) == [
-                list(row) for row in _column_map(p._kernel(), L, field)]
+                list(row) for row in _column_map(p._k, L, field)]
 
 
 @pytest.mark.parametrize("field, D", VALUE_FIELDS, ids=VALUE_IDS)

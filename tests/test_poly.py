@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fqtlab import poly as poly_module
 from fqtlab.errors import BudgetExceeded, PolyParseError
 from fqtlab.field import FiniteField
-from fqtlab.poly import (NEG_INF, Modulus, Poly, format_poly,
+from fqtlab.poly import (NEG_INF, Modulus, Poly, _horner, crt, format_poly,
                          format_poly_compact,
                          monic_polys_of_degree, parse_poly, poly_gcd,
                          poly_xgcd, polys_up_to)
@@ -361,3 +361,69 @@ def test_coefficient_validation():
         Poly(F2, [0, 2])
     with pytest.raises(ValueError):
         Poly(F3, [-1])
+
+
+ROUTE_FIELDS = [F2, F3, FiniteField(7), F4, FiniteField(3, 2)]
+
+
+def _codes_mul(F, a, b):
+    """a*b on code lists, by the field's own operations."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return out
+
+
+def _assert_one_poly(polys):
+    """Every Poly in polys is the same one, and its coeffs are canonical."""
+    first = polys[0]
+    for x in polys:
+        assert x == first and hash(x) == hash(first)
+        assert x.index() == first.index()
+        cs = x.coeffs
+        assert type(cs) is tuple and all(type(c) is int for c in cs)
+        assert not cs or cs[-1] != 0
+
+
+@pytest.mark.parametrize("F", ROUTE_FIELDS, ids=lambda F: "F%d" % F.q)
+def test_one_poly_by_every_route(F):
+    # the same polynomials, from codes and from kernel results, are one
+    # Poly: equal, hashing equal, with one index and canonical coeffs
+    rng = random.Random(F.q)
+    q, x = F.q, Poly.gen(F)
+    built = []
+    for n in (0, 1, 2, 5, 13, 40, 70):
+        cs = [rng.randrange(q) for _ in range(n)]
+        if cs:
+            cs[-1] = rng.randrange(1, q)
+        a = Poly(F, cs + [0, 0])
+        routes = [a, Poly(F, cs), Poly.from_index(F, sum(
+            c * q ** i for i, c in enumerate(cs))),
+            parse_poly(F, format_poly(a)),
+            parse_poly(F, format_poly_compact(a)),
+            _horner([Poly.constant(F, c) for c in cs], x)]
+        m = len(cs) + 1
+        # a below deg m1 + deg m2 is its own CRT lift
+        m1, m2 = x ** m, (x + Poly.one(F)) ** m
+        routes.append(crt([a % m1, a % m2], [m1, m2]))
+        # a below deg m is its own first power mod m
+        routes.append(a.powmod(1, m1))
+        bs = [rng.randrange(q) for _ in range(rng.randrange(1, 60))] + [1]
+        b = Poly(F, bs)
+        r = Poly(F, [rng.randrange(q) for _ in range(len(bs) - 1)])
+        quot, rem = divmod(a * b + r, b)
+        routes.append(quot)
+        _assert_one_poly(routes)
+        _assert_one_poly([rem, r])
+        _assert_one_poly([a * b, Poly(F, _codes_mul(F, cs, bs))])
+        plus = [F.add(c, d) for c, d in zip(cs + [0] * len(bs),
+                                            bs + [0] * len(cs))]
+        _assert_one_poly([a + b, b + a, Poly(F, plus)])
+        built += routes + [b, r, rem, a * b, a + b]
+    # canonical order is by length, then codes from the top down
+    built += [Poly(F, [rng.randrange(q) for _ in range(rng.randrange(4))])
+              for _ in range(100)]
+    by_codes = sorted(built, key=lambda a: (len(a.coeffs), a.coeffs[::-1]))
+    assert sorted(built, key=Poly.sort_key) == by_codes
+    assert sorted(built) == by_codes
