@@ -19,12 +19,17 @@ all of them mod all its new moduli in one batch (`_value_residues`), by
 the F_p-linear sum of `residues` on packed columns of their coordinates,
 with each modulus's map rows walked through its own step table
 (`_map_rows`), and keeps the residues for every later row.
-The lift memoises its terms per level (see `poly.CRTBasis`).  Certification
-reads its residues from the table's ResidueMap instead, which takes each
-value once mod the product of all the moduli and then reduces every input
-and value at once by the same linear sum, with map rows by shift-and-reduce
-(`residues._column_map`).  So the two share only that sum, which the
-tests check against one Poly division per residue.
+The lift memoises its terms per level (see `poly.CRTBasis`).  The build
+makes one Poly per input, in index order; that list holds the residues,
+keys the table, and gives each modulus P one (P, rp) pair per residue rp,
+which every trace row with that residue shares.  Certification reads its
+residues from the table's ResidueMap instead, which reduces the inputs and
+the values by one path (`residues.index_arrays`): a value is taken mod the
+product of all the moduli only when one reaches its degree, and every
+entry is then reduced by the same linear sum, with map rows by
+shift-and-reduce (`residues._column_map`).  So the two share only the
+column packing and that sum, which the tests check against one Poly
+division per residue.
 
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.  Certification builds the table's ResidueMap once:
@@ -38,11 +43,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded, power_exceeds
 from .functable import FuncTable, ResidueMap, index_code, verify_p3
 from .irreducibles import enumerate_monic_irreducibles, irreducible_product
-from .poly import CRTBasis, Poly, _klen, crt, polys_up_to
+from .poly import CRTBasis, Poly, crt, polys_up_to
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,7 @@ def _value_residues(field, steps, d: int, values, code: str) -> list:
     type code of (v mod P).index() for every v of values: their columns
     are packed once, and summed by each P's `_map_rows`."""
     from .residues import _index_array, _value_columns
-    forms = [v._k for v in values]
-    cols, s = _value_columns(forms, field, max(_klen(x, field) for x in forms))
+    cols, s = _value_columns([v._k for v in values], field)
     L = len(cols) // field.e
     return [_index_array(_map_rows(step, field, d, L), cols, field, s,
                          len(values), code) for step in steps]
@@ -133,26 +138,28 @@ def build_counterexample(field, D: int,
             % (D, budget))
     q = field.q
     zero = Poly.zero(field)
-    # every residue mod a modulus of degree <= D, by index
-    residue_polys = list(polys_up_to(field, D - 1))
+    # the inputs so far, in index order: the constants, then each row's b;
+    # they are the residues mod every modulus, by index, and the table's keys
+    inputs = list(polys_up_to(field, 0))
+    values = [zero] * q  # constants map to zero
     code = index_code(q ** D)
     rows = []
     irreds: list[Poly] = []
-    # per modulus: its step table, the residue indices of the previous
-    # level's inputs, and memo[r] = g(A_r) mod P for every r < q^deg P,
-    # shared by every row whose input has residue index r
-    steps, cols, memos = [], [], []
+    # per modulus P: its step table, the residue indices of the previous
+    # level's inputs, memo[r] = g(A_r) mod P and pairs[r] = (P, A_r) for
+    # every r < q^deg P, shared by every row whose input has residue index r
+    steps, cols, memos, pairs = [], [], [], []
     for n in range(1, D + 1):
         new = enumerate_monic_irreducibles(field, n)
         base = q ** n
         irreds.extend(new)
         new_steps = [_step_table(p) for p in new]
         steps.extend(new_steps)
-        # the values at every input of degree < n are known: constants map
-        # to zero, and the rows so far hold the rest, in index order
-        known = [zero] * q + [row.value for row in rows]
-        memos.extend(list(map(residue_polys.__getitem__, a)) for a in
-                     _value_residues(field, new_steps, n, known, code))
+        # the q^n inputs of degree < n, the residues mod P of degree n, and
+        # their values are all known
+        memos.extend(list(map(inputs.__getitem__, a)) for a in
+                     _value_residues(field, new_steps, n, values, code))
+        pairs.extend([(p, rp) for rp in inputs] for p in new)
         # the inputs of degree n - 1 are their own residues mod P of degree n
         cols.extend(range(base // q, base) for _ in new)
         # A_k = t*A_(k//q) + (k mod q): one table step per input and modulus
@@ -162,14 +169,14 @@ def build_counterexample(field, D: int,
         modulus = basis.modulus
         for k, krs in enumerate(zip(*cols), base):
             b = Poly.from_index(field, k)
-            pairs = tuple(zip(irreds, map(residue_polys.__getitem__, krs)))
             r = crt(list(map(list.__getitem__, memos, krs)), basis)
             value = r + modulus
-            rows.append(TraceRow(b=b, residue_pairs=pairs, crt_value=r,
-                                 modulus=modulus, value=value))
-    values = dict.fromkeys(polys_up_to(field, 0), zero)
-    values.update((row.b, row.value) for row in rows)
-    table = FuncTable(field, D, values)
+            inputs.append(b)
+            values.append(value)
+            rows.append(TraceRow(
+                b=b, residue_pairs=tuple(map(list.__getitem__, pairs, krs)),
+                crt_value=r, modulus=modulus, value=value))
+    table = FuncTable(field, D, dict(zip(inputs, values)))
     return table, ConstructionTrace(D=D, rows=tuple(rows))
 
 
@@ -202,13 +209,12 @@ def certify_counterexample(table: FuncTable,
     if len(trace.rows) != expected_rows:
         trace_failures.append("trace has %d rows, expected %d"
                               % (len(trace.rows), expected_rows))
-    # every residue mod a modulus of degree <= D, by index
-    residue_polys = list(polys_up_to(field, table.D - 1))
+    # the domain in index order; its first q^D entries are the residues
+    # mod every modulus of degree <= D, by index
+    domain = list(table.domain())
     irreds: list[Poly] = []
     level = 0
-    seen = iter(polys_up_to(field, table.D))
-    for _ in range(q):  # skip degree-<=0 inputs, which carry no rows
-        next(seen)
+    seen = islice(domain, q, None)  # degree-<=0 inputs carry no rows
     for row in trace.rows:
         b = row.b
         expected_b = next(seen, None)
@@ -235,7 +241,7 @@ def certify_counterexample(table: FuncTable,
                 wrong = rp != b % p
             else:
                 kr = residues.inputs[i][kb]
-                wrong = rp != residue_polys[kr]
+                wrong = rp != domain[kr]
             if wrong:
                 trace_failures.append("row %s: residue of input mod %s wrong"
                                       % (b, p))

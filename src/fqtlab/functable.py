@@ -9,11 +9,11 @@ bytes.
 
 The congruence check reads a ResidueMap: the residue, as an index, of every
 input and every value mod every monic irreducible of degree <= D.  The map
-reduces all entries at once, as F_p-linear maps on packed columns of their
-coordinates (`residues.index_arrays`): each value is first reduced mod the
-product of all those moduli, and inputs need no division at all.  A caller
-that needs the residues too (certification) builds the map once and passes
-it in.
+reduces the inputs and then the values by one path, as F_p-linear maps on
+packed columns of their coordinates (`residues.index_arrays`): a value is
+first reduced mod the product M of all those moduli only when some value
+reaches deg M, and inputs never do.  A caller that needs the residues too
+(certification) builds the map once and passes it in.
 """
 
 from __future__ import annotations
@@ -225,12 +225,12 @@ class ResidueMap:
     Reduction mod P is F_p-linear, so the map reduces all entries at once:
     coordinate pos of every entry is packed into one column int, one slot
     per entry, and each residue coordinate is a sum of small multiples of
-    columns (`residues.index_arrays`).  By the slot rule a slot of s bytes
-    holds a sum of e*L products below (p-1)^2 for entries of degree < L;
-    over characteristic 2 it is one bit and sums are XOR.  The inputs'
-    columns depend only on (q, D), the base-p digits of k, so inputs need
-    no division; a value is divided once, by M, the product of all the
-    moduli, and only when deg f(A_k) >= deg M = dsum(D), so a
+    columns (`residues.index_arrays`, called once for the inputs and once
+    for the values).  By the slot rule a slot of s bytes holds a sum of
+    e*L products below (p-1)^2 for entries of degree < L; over
+    characteristic 2 it is one bit and sums are XOR.  M, the product of all
+    the moduli, is formed only when some entry reaches deg M = dsum(D), and
+    then every entry is divided by it once: inputs never reach it, and a
     counterexample's values leave quotients of one term at most.  Residues
     are kept as indices, below q^D, in one array per modulus of the
     narrowest type that holds them (a byte each when q^D <= 256, two bytes
@@ -251,9 +251,9 @@ class ResidueMap:
             self.inputs = self.values = ()
             return
         # imported here, so that a start-up that builds no map skips it
-        from .residues import domain_index_arrays, index_arrays
+        from .residues import index_arrays
         code = index_code(table.field.q ** table.D)  # residues lie below it
-        self.inputs = tuple(domain_index_arrays(mods, table.D, code))
+        self.inputs = tuple(index_arrays(mods, table.domain(), code))
         self.values = tuple(index_arrays(mods, [v for _, v in table.items()],
                                          code))
 

@@ -1074,19 +1074,19 @@ def parse_poly(field, text: str, max_degree: int | None = None) -> Poly:
     except ValueError:
         entries = None
     if isinstance(entries, list):
-        if field.e > 1 and entries and all(isinstance(v, int) for v in entries):
+        if field.e > 1 and entries and all(type(v) is int for v in entries):
             # bare bracketed constant in human notation, e.g. "[1,1]" over F4
             return _parse_human(field, text, max_degree)
         cs = []
         for entry in entries:
             if field.e == 1:
-                if not (isinstance(entry, int) and 0 <= entry < field.p):
+                if not (type(entry) is int and 0 <= entry < field.p):
                     raise PolyParseError("expected coefficient in 0..%d, got %r"
                                          % (field.p - 1, entry))
                 cs.append(entry)
             else:
                 if not (isinstance(entry, list) and len(entry) == field.e
-                        and all(isinstance(v, int) and 0 <= v < field.p for v in entry)):
+                        and all(type(v) is int and 0 <= v < field.p for v in entry)):
                     raise PolyParseError("expected %d-vector coefficient, got %r"
                                          % (field.e, entry))
                 cs.append(field.from_coords(entry))

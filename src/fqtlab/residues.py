@@ -1,13 +1,13 @@
 """Residues of many polynomials mod every modulus of a fixed list at once.
 
-`index_arrays` reduces a list of polynomials mod every modulus P_i: x mod
-P_i is (x mod M) mod P_i for M the product of the moduli, so each x is
-divided once, by M, and only when deg x >= deg M; then reduction mod every
-P_i is one F_p-linear map on packed columns of all the remainders at once.
-`domain_index_arrays` maps every polynomial of degree <= D the same way,
-with no division and no Poly.  `functable.ResidueMap` reads its residue
-indices from them.  The sum `_index_array` has one more caller, the
-counterexample build, which takes its map rows from its own step tables.
+`index_arrays` reduces a list of polynomials mod every modulus P_i, and it
+is the one way `functable.ResidueMap` reduces a table's inputs and values
+alike.  x mod P_i is (x mod M) mod P_i for M the product of the moduli, so
+M is formed, and each x divided by it once, only when some x reaches deg M
+= sum deg P_i; then reduction mod every P_i is one F_p-linear map on packed
+columns of all the remainders at once.  The sum `_index_array` has one more
+caller, the counterexample build, which takes its map rows from its own
+step tables.
 
 F_q[t]/(P), deg P = d, is F_p^(e*d): coordinate e*i+b of a residue is
 coordinate b (base-p digit b of the code) of its coefficient of t^i, so the
@@ -120,30 +120,23 @@ def _index_array(rows, cols, F, s: int, n: int, code: str) -> array:
     return out
 
 
-def _packed_columns(parts, F) -> tuple[list, int]:
-    """The columns of parts, packed a slot per polynomial, and the slot
-    bytes s: parts[j] lists the bytes u of coordinate j for each byte u."""
-    s = _slot_bytes(len(parts), F.p)
-    return [_pack2(part[0]) if F.p == 2 else _slots(part, s)
-            for part in parts], s
-
-
-def _value_columns(forms, F, L: int) -> tuple[list, int]:
-    """`_packed_columns` of the coordinates of kernel forms over F of
-    degree < L, up to the highest nonzero coefficient of any of them:
-    column e*i+b holds coordinate b of their coefficients of t^i."""
+def _value_columns(forms, F) -> tuple[list, int]:
+    """The columns of the coordinates of a list of kernel forms over F,
+    packed a slot per form, and the slot bytes s: column e*i+b holds
+    coordinate b of their coefficients of t^i, for i below the longest
+    form's length."""
+    L = max((_klen(r, F) for r in forms), default=0)
     w = _coeff_bytes(F)
     rows = bytearray()  # one row of coefficient codes per form
     for r in forms:
         rows += _coeff_row(r, L, F, w)
     codes = [[rows[i * w + u::L * w] for u in range(w)] for i in range(L)]
-    while codes and not any(c.strip(b"\0") for c in codes[-1]):
-        codes.pop()
     if F.e > 1:  # one byte a code, and one column a coordinate
         digits = _byte_tables(F.p, F.e)[1]
         codes = [[c[0].translate(digits[b])]
                  for c in codes for b in range(F.e)]
-    return _packed_columns(codes, F)
+    s = _slot_bytes(len(codes), F.p)
+    return [_pack2(c[0]) if F.p == 2 else _slots(c, s) for c in codes], s
 
 
 def index_arrays(moduli, xs, code: str) -> list:
@@ -151,29 +144,15 @@ def index_arrays(moduli, xs, code: str) -> list:
     (x mod P_i).index() for every x of xs, in order."""
     moduli = _nonzero_moduli(moduli)
     F = moduli[0].field
-    M, xs = reduce(mul, moduli), list(xs)
-    if any(x.field != F for x in xs):
+    xs = list(xs)
+    if any(x.field != F for x in moduli + xs):
         raise ValueError("mixed-field polynomial operation")
-    # x mod M; _krem returns x as is when deg x < deg M
-    cols, s = _value_columns((_krem(x._k, M._k, F) for x in xs), F, M.deg)
+    forms = [x._k for x in xs]
+    top = sum(P.deg for P in moduli)  # deg M, M the product of the moduli
+    if any(_klen(r, F) > top for r in forms):
+        M = reduce(mul, moduli)._k  # x mod P_i = (x mod M) mod P_i
+        forms = [_krem(r, M, F) for r in forms]
+    cols, s = _value_columns(forms, F)
     L = len(cols) // F.e
-    return [_index_array(_column_map(P._k, L, F), cols, F, s,
-                         len(xs), code) for P in moduli]
-
-
-def domain_index_arrays(moduli, D: int, code: str) -> list:
-    """For each modulus P_i in the order given, the array of type code of
-    (A_k mod P_i).index() for every k < q^(D+1), A_k the polynomial of
-    index k.  Coordinate pos of A_k is digit pos of k in base p, so its
-    column is a run of p^pos copies of each digit, repeated."""
-    moduli = _nonzero_moduli(moduli)
-    F = moduli[0].field
-    p = F.p
-    n = F.q ** (D + 1)
-    parts = [[b"".join([bytes([c >> 8 * u & 255]) * p ** pos
-                        for c in range(p)]) * (n // p ** (pos + 1))
-              for u in range(_coeff_bytes(F))]
-             for pos in range(F.e * (D + 1))]
-    cols, s = _packed_columns(parts, F)
-    return [_index_array(_column_map(P._k, D + 1, F), cols, F, s, n,
-                         code) for P in moduli]
+    return [_index_array(_column_map(P._k, L, F), cols, F, s, len(xs), code)
+            for P in moduli]

@@ -147,7 +147,8 @@ def test_build_memos_match_direct_indices(monkeypatch, q, D):
 
     def recording(field, steps, d, values, code):
         arrays = value_residues(field, steps, d, values, code)
-        batches.append((steps, d, values, arrays))
+        # a copy: the build's list of values grows after each level
+        batches.append((steps, d, list(values), arrays))
         return arrays
 
     monkeypatch.setattr(counterexample, "_value_residues", recording)
@@ -175,3 +176,16 @@ def test_trace_values_hold_packed_forms():
     held = sum(sys.getsizeof(p) + sys.getsizeof(p._k)
                for p in polys.values())
     assert held < 0.25 * 2 ** 20
+
+
+def test_trace_shares_one_pair_per_residue():
+    # one (P, rp) pair object per modulus P and residue index r < 2^deg P,
+    # 10,824 in all, shared by every row whose input has that residue (a
+    # pair per row and modulus made 25,528); each b and each rp is the
+    # table's own key of its index
+    table, trace = build_counterexample(FiniteField(2), 8)
+    keys = list(table.domain())
+    pairs = {id(pr): pr for row in trace.rows for pr in row.residue_pairs}
+    assert len(pairs) == 10824
+    assert all(keys[row.b.index()] is row.b for row in trace.rows)
+    assert all(keys[rp.index()] is rp for _, rp in pairs.values())

@@ -335,9 +335,13 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["t^", "x+1", "t^-1", "2", "[1,2]", "t^2++1", ""]:
+    for bad in ["t^", "x+1", "t^-1", "2", "[1,2]", "t^2++1", "",
+                "[true,false,true]"]:
         with pytest.raises(PolyParseError):
             parse_poly(F2, bad)
+    # JSON booleans are not coefficients, over F_4 either
+    with pytest.raises(PolyParseError):
+        parse_poly(F4, "[[true,false]]")
 
 
 def test_parse_caps_exponent_before_allocating():

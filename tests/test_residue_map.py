@@ -1,8 +1,8 @@
 """ResidueMap against the per-entry reference, entry for entry.
 
-The library reduces each value once mod the product of all the moduli and
-maps the remainders, and every input, as linear maps on packed residue
-columns.  The reference in helpers divides each input and value by each
+The library reduces inputs and values by one path: each entry is taken
+once mod the product of all the moduli, when some entry reaches its degree,
+and the remainders are mapped as linear maps on packed residue columns.  The reference in helpers divides each input and value by each
 modulus on its own.  Both must give the same index for every entry and
 modulus: over prime fields with one-byte and wider slots, over extension
 fields of characteristic 2 and 3 (F_9 under both moduli), with one- and
@@ -105,6 +105,38 @@ def test_two_byte_indices_match_reference():
     got = ResidueMap(table)
     assert {col.typecode for col in got.inputs + got.values} == {"H"}
     assert_matches_reference(table)
+
+
+def test_map_forms_no_product_below_its_degree(monkeypatch):
+    # over F_2 at D = 3 the product M of the 5 moduli has degree 10: a
+    # square table (values of degree <= 6) and a zero table never form M
+    # nor divide by it, and a table of t^10 * A, whose values reach deg M,
+    # forms it by 4 products and divides all 16 values by it
+    F = FiniteField(2)
+    t = Poly.gen(F)
+    tables = [FuncTable.from_function(F, 3, fn) for fn in
+              (lambda a: a * a, lambda a: Poly.zero(F),
+               lambda a: t ** 10 * a)]
+    references = [reference_residue_map(table) for table in tables]
+    mul, krem = Poly.__mul__, residues._krem
+    calls = []
+
+    def counting_mul(a, b):
+        calls.append("mul")
+        return mul(a, b)
+
+    def counting_krem(a, b, F, newton=None):
+        if b.bit_length() > 4:  # a divisor past degree D = 3 is M
+            calls.append("mod M")
+        return krem(a, b, F, newton)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(residues, "_krem", counting_krem)
+    expected = [[], [], ["mul"] * 4 + ["mod M"] * 16]
+    for table, reference, want in zip(tables, references, expected):
+        del calls[:]
+        assert_matches_reference(table, reference)
+        assert calls == want
 
 
 def gf_index(x, m, p):
