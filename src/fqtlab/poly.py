@@ -20,7 +20,10 @@ builder of Newton data, and `Poly._make` the one way back to a Poly.
 `Poly.__mul__`, `+`, `**`, `scaled`, `_horner`, `Modulus`, `poly_gcd` (over
 GF(2) and extension fields), `CRTBasis.lift` and `residues.index_arrays` all
 go through it; `Poly.__divmod__` is the only path that returns a quotient.
-The results never depend on the kernel chosen.
+The results never depend on the kernel chosen.  The whole-table checks of
+`relations._vanishing_scan` work below it, on packed forms: `_mul2` and XOR
+over GF(2), and over odd p Kronecker ints from `_kron_pack`, with slots of
+`_slot_width` bytes sized by the value at t = 1, read by `_kron_slots`.
 
 GF(2) forms multiply and reduce by shifts and XOR at every length.  Other
 prime fields run loops on plain ints, reduced mod p once at the end; once
@@ -154,9 +157,14 @@ _SLOT_TYPES = {array(c).itemsize: c for c in "QLIHB"}
 _SWAP = sys.byteorder != "little"
 
 
-def _slot_bytes(n: int, p: int) -> int:
-    need = ((n * (p - 1) ** 2).bit_length() + 7) // 8
+def _slot_width(bound: int) -> int:
+    """The bytes of a slot that holds every value up to bound >= 0."""
+    need = (bound.bit_length() + 7) // 8
     return next((s for s in (1, 2, 4, 8) if need <= s), need)
+
+
+def _slot_bytes(n: int, p: int) -> int:
+    return _slot_width(n * (p - 1) ** 2)
 
 
 def _kron_pack(cs, s: int) -> int:

@@ -20,7 +20,10 @@ object is re-verified by direct evaluation, never trusted from the solver.
 find_relation builds its system only from witness entries: it solves on the
 rows it has, evaluates the candidate on the whole table, and adds the rows
 of the first entry the candidate fails.  Its budget is judged on the full
-system, counted from degrees before any product.
+system, counted from degrees before any product.  Both whole-table checks,
+a candidate's and the recovered map's, run on packed forms
+(`_vanishing_scan`): Kronecker ints over odd p, with slots sized by the
+value at t = 1, and bit-packed forms over GF(2).
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .errors import (DEFAULT_MATRIX_BUDGET, BudgetExceeded,
 from .functable import FuncTable, verify_p3
 from .irreducibles import irreducible_product
 from .linalg import kernel_vector
-from .poly import NEG_INF, Poly, _horner, poly_gcd
+from .poly import (NEG_INF, Poly, _horner, _kron_pack, _kron_slots, _mul2,
+                   _slot_width, poly_gcd)
 from .ratfunc import RatFunc
 
 
@@ -98,6 +102,76 @@ class RelationQ:
 def _evaluate_slices(slices, x: Poly, y: Poly) -> Poly:
     """Q(x, y) from Q's Y-slices: Horner in Y, and in X within each slice."""
     return _horner([_horner(s, x) for s in slices], y)
+
+
+def _vanishing_scan(entries, F):
+    """The whole-table check on a list of (A, f(A)) entries over F: called
+    with Y-slices (slices[k][j] in F_q[t] multiplies X^j Y^k), it returns
+    the first entry, in order, where sum_k P_k(A) f(A)^k != 0, or None.
+
+    Each call runs the nested Horner of `_evaluate_slices` on packed forms:
+    over GF(2) the bit-packed kernel forms, multiplied by `_mul2` and added
+    by XOR; over odd p Kronecker ints with unreduced slots, read mod p once
+    per entry.  Every coefficient is >= 0, so none exceeds the value at
+    t = 1, which is at most sum P_jk(1) x1^j y1^k with x1 and y1 the
+    entries' largest coefficient sums; the slots are sized from that.  An
+    entry is packed when a call first reaches it, and packed again only
+    when a call needs wider slots.  Extension fields evaluate each entry
+    directly.
+    """
+    if F.e > 1:
+        return lambda slices: next(
+            (e for e in entries if _evaluate_slices(slices, *e)), None)
+    codes = [(a._k, v._k) for a, v in entries]
+    if F.p == 2:
+        def scan(slices):
+            ks = [[c._k for c in cs[::-1]] for cs in slices[::-1]]
+            for e, (x, y) in zip(entries, codes):
+                acc = 0
+                for cs in ks:
+                    inner = 0
+                    for c in cs:
+                        inner = _mul2(inner, x) ^ c if inner else c
+                    acc = _mul2(acc, y) ^ inner if acc else inner
+                if acc:
+                    return e
+            return None
+        return scan
+    p = F.p
+    x1 = max(sum(x) for x, _ in codes)
+    y1 = max(sum(y) for _, y in codes)
+    forms = []
+    width = 0
+
+    def packed():
+        yield from forms
+        for x, y in codes[len(forms):]:
+            forms.append((_kron_pack(x, width), _kron_pack(y, width)))
+            yield forms[-1]
+
+    def scan(slices):
+        nonlocal width
+        s = _slot_width(sum(sum(c._k) * x1 ** j * y1 ** k
+                            for k, cs in enumerate(slices)
+                            for j, c in enumerate(cs)))
+        if s > width:
+            width = s
+            forms.clear()
+        ks = [[_kron_pack(c._k, width) for c in cs[::-1]]
+              for cs in slices[::-1]]
+        for e, (x, y) in zip(entries, packed()):
+            acc = 0
+            for cs in ks:
+                inner = 0
+                for c in cs:
+                    inner = inner * x + c
+                acc = acc * y + inner
+            n = -(-acc.bit_length() // (8 * width))  # the slots acc fills
+            if any(_kron_slots(acc.to_bytes(n * width, "little"),
+                               width, n, p)):
+                return e
+        return None
+    return scan
 
 
 def _powers(x: Poly, n: int) -> list[Poly]:
@@ -164,9 +238,10 @@ def find_relation(table: FuncTable, bounds: TriDegreeBounds,
     exceeds the budget, but never built.  The search starts with no rows:
     it takes the first canonical kernel vector of the rows it has and
     evaluates that candidate directly on every table entry, in canonical
-    order.  The first entry where it does not vanish (a witness) adds its
-    rows and the kernel is solved again, until the candidate vanishes
-    everywhere or the kernel is trivial.
+    order, on the entries' packed forms, prepared once per call
+    (`_vanishing_scan`).  The first entry where it does not vanish (a
+    witness) adds its rows and the kernel is solved again, until the
+    candidate vanishes everywhere or the kernel is trivial.
 
     The first canonical kernel vector of a subspace is its one element with
     the smallest last nonzero column, scaled to 1 there, and adding rows
@@ -180,6 +255,7 @@ def find_relation(table: FuncTable, bounds: TriDegreeBounds,
     if _relation_row_count(entries, bounds) * ncols > budget:
         raise BudgetExceeded("relation system exceeds %d matrix entries"
                              % budget)
+    scan = _vanishing_scan(entries, field)
     rows = []
     witnesses = set()
     while True:
@@ -187,10 +263,7 @@ def find_relation(table: FuncTable, bounds: TriDegreeBounds,
         if vec is None:
             return None
         rel = RelationQ(bounds=bounds, coeffs=tuple(vec))
-        slices = rel.y_slices(field)
-        witness = next(((a, v) for a, v in entries
-                        if not _evaluate_slices(slices, a, v).is_zero()),
-                       None)
+        witness = scan(rel.y_slices(field))
         if witness is None:
             return rel
         if witness[0] in witnesses:
@@ -639,10 +712,12 @@ class PipelineReport:
 def _reproduces(nums, d: Poly, table: FuncTable) -> bool:
     """Whether the map N(X)/d agrees with the table on every entry.
 
-    d != 0, so F(A) = f(A) iff N(A) = d*f(A): one Poly Horner per entry,
-    with no per-entry normalisation in K.
+    d != 0, so F(A) = f(A) iff N(A) - d*f(A) = 0: one `_vanishing_scan`
+    of the table with the Y-slices [N, -d], on packed forms, with no Poly
+    built and no normalisation in K per entry.
     """
-    return all(_horner(nums, a) == d * v for a, v in table.items())
+    return _vanishing_scan(list(table.items()), table.field)(
+        [nums, [-d]]) is None
 
 
 def run_pipeline(table: FuncTable, bounds: TriDegreeBounds, u: Poly, N: int,
