@@ -26,10 +26,10 @@ which every trace row with that residue shares.  Certification reads its
 residues from the table's ResidueMap instead, which reduces the inputs and
 the values by one path (`residues.index_arrays`): a value is taken mod the
 product of all the moduli only when one reaches its degree, and every
-entry is then reduced by the same linear sum, with map rows by
-shift-and-reduce (`residues._column_map`).  So the two share only the
-column packing and that sum, which the tests check against one Poly
-division per residue.
+entry is then reduced by the same linear sum, with map rows by a
+recurrence on the top coordinate of t^i mod P (`residues._column_map`).
+So the two share only the column packing and that sum, which the tests
+check against one Poly division per residue.
 
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.  Certification builds the table's ResidueMap once:

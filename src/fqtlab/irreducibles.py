@@ -1,5 +1,12 @@
 """Monic irreducibles over F_q: enumeration, counting, and degree sums.
 
+Enumeration is a sieve.  Every monic composite of degree d is f*g with f a
+monic irreducible of degree k <= d/2 and g monic of degree d - k, so
+marking the index of every such product, from the cached irreducibles of
+the lower degrees, leaves exactly the irreducibles of degree d, in index
+order.  Rabin's test (`factor.is_irreducible`) then confirms each survivor,
+so the sieve keeps an independent check: a survivor that fails it raises.
+
 Counting uses the Moebius-inverted formula N_d = (1/d) sum_{e|d} mu(e) q^(d/e).
 The degree sum dsum(n) = sum_{d<=n} d*N_d is the degree of the product of all
 monic irreducibles of degree <= n and always lies in [q^n, 2*q^n).
@@ -12,7 +19,7 @@ from functools import lru_cache
 from .errors import DEFAULT_DEGREE_BUDGET, BudgetExceeded, power_exceeds
 from .factor import is_irreducible
 from .field import divisors, prime_factors
-from .poly import Poly, monic_polys_of_degree
+from .poly import Poly, _kindex, _kmul, monic_polys_of_degree
 
 
 def _mobius(n: int) -> int:
@@ -34,10 +41,25 @@ def count_irreducibles(q: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_monic_irreducibles(field, d: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree d, in canonical order."""
+    """All monic irreducibles of degree d, in canonical order: the monic
+    polynomials of degree d that no product of a monic irreducible of
+    degree k <= d/2 and a monic polynomial of degree d - k reaches, each
+    confirmed by `is_irreducible`."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return tuple(p for p in monic_polys_of_degree(field, d) if is_irreducible(p))
+    base = field.q ** d  # the monic ones of degree d have indices base + i
+    composite = bytearray(base)
+    for k in range(1, d // 2 + 1):
+        gs = [g._k for g in monic_polys_of_degree(field, d - k)]
+        for f in enumerate_monic_irreducibles(field, k):
+            for g in gs:
+                composite[_kindex(_kmul(f._k, g, field), field) - base] = 1
+    out = tuple(Poly.from_index(field, base + i)
+                for i, c in enumerate(composite) if not c)
+    for p in out:
+        if not is_irreducible(p):
+            raise AssertionError("the sieve kept a reducible %s" % (p,))
+    return out
 
 
 def degree_sum(q: int, n: int) -> int:

@@ -13,9 +13,13 @@ F_q[t]/(P), deg P = d, is F_p^(e*d): coordinate e*i+b of a residue is
 coordinate b (base-p digit b of the code) of its coefficient of t^i, so the
 residue's index is the sum of p^pos * y_pos over the positions pos.  Column
 e*i+b of the map M_P, on polynomials of degree < L, holds the coordinates of
-x^b * t^i mod P, by shift-and-reduce on kernel forms (`poly._krem`), so no
-Poly is divided.  Coordinate pos of n polynomials is packed into one int, a
-slot per polynomial, and output coordinate o is sum_j M_P[o][j] * col_j.
+x^b * t^i mod P.  Its rows come by recurrence, with no division: the top
+coefficients of t^i mod P are a linear recurring sequence with
+characteristic polynomial P/lc(P) (Lidl-Niederreiter, Finite Fields,
+ch. 8), and each row is the one before it minus a multiple of that
+sequence, shifted one column (`_column_map`).  Coordinate pos of n
+polynomials is packed into one int, a slot per polynomial, and output
+coordinate o is sum_j M_P[o][j] * col_j.
 The slot rule: each slot sums at most e*L products below (p-1)^2, so slots
 of s = _slot_bytes(e*L, p) bytes never carry; over characteristic 2 a slot
 is one bit and the sums are XOR.  Over odd p the slots are reduced mod p
@@ -73,27 +77,64 @@ def _coeff_row(r, L: int, F, w: int) -> bytes:
 
 def _column_map(m, L: int, F) -> list:
     """The rows of M_P for the kernel form m of P, on degree < L: row o
-    lists coordinate o of x^b * t^i mod P for each column e*i+b, and the
-    columns come by shift-and-reduce."""
+    lists coordinate o of x^b * t^i mod P for each column e*i+b.
+
+    The rows come by recurrence.  Let d = deg P, P~ = P/lc(P) with
+    coefficients p~_k, and T[i] the coefficient of t^(d-1) in t^i mod P.
+    Then t^(i+1) mod P = t*(t^i mod P) - T[i]*P~, so T[i] = [i = d-1] for
+    i < d and T[i+d] = -sum_(k<d) p~_k*T[i+k] (a linear recurring
+    sequence with characteristic polynomial P~), and the coefficients of
+    t^o, the row R_o of t^i mod P for i < L, have R_o[0] = [o = 0] and
+    R_o[i+1] = R_(o-1)[i] - p~_o*T[i]: row o-1 minus p~_o*T, shifted one
+    column, up to the top row R_(d-1), which is T itself.  Over GF(2) a
+    row is one L-bit int, a shift and an XOR; over an extension field the
+    rows are over F_q, from its tables, and coordinate b' of x^b * R_o[i]
+    is entry e*i+b of row e*o+b'.  A unit P has no rows.
+    """
     e, p, q = F.e, F.p, F.q
     d = _klen(m, F) - 1
-    by_b = []
-    for b in range(e):
-        # x^b has code p^b; a unit P leaves every residue 0
-        r, seq = _krem(1 if q == 2 else [p ** b], m, F), []
-        for _ in range(L):
-            seq.append(r)
-            r = _krem(r << 1 if q == 2 else [0] + list(r), m, F)
-        by_b.append(seq)
-    if q == 2:  # the coordinates are the bits
-        flat = b"".join([_unpack2(r).ljust(d, b"\0") for r in by_b[0]])
-    else:
-        flat = [c for i in range(L) for seq in by_b
-                for c in list(seq[i]) + [0] * (d - len(seq[i]))]
-        if e > 1:
-            spread = _block_tables(F)[0]
-            flat = [y for c in flat for y in spread[c][:e]]
-    return [flat[o::e * d] for o in range(e * d)]
+    if not d:
+        return []
+    if q == 2:  # P is monic; a row's bit i is its column i
+        low, mask = m ^ 1 << d, (1 << L) - 1
+        top = 1 << d - 1
+        for i in range(L - d):
+            top |= ((top >> i & low).bit_count() & 1) << i + d
+        rows, r = [], 0
+        for o in range(d - 1):
+            r = ((r ^ top if low >> o & 1 else r) << 1 | (not o)) & mask
+            rows.append(r)
+        return [_unpack2(r).ljust(L, b"\0") for r in rows + [top & mask]]
+    top = [0] * (d - 1) + [1]
+    rows, r = [], [0] * L
+    if e == 1:
+        inv = pow(m[-1], -1, p)
+        neg = [-c * inv % p for c in m[:d]]  # -p~_k
+        for _ in range(L - d):
+            top.append(sum(map(mul, neg, top[-d:])) % p)
+        for o, c in enumerate(neg[:-1]):
+            r = ([int(not o)] + [(a + c * b) % p for a, b in zip(r, top)])[:L]
+            rows.append(r)
+        return rows + [top[:L]]
+    add, times = F._add, F._mul
+    inv = F._inv[m[-1]]
+    neg = [F._neg[times[c][inv]] for c in m[:d]]
+    for _ in range(L - d):
+        y = 0
+        for c, b in zip(neg, top[-d:]):
+            y = add[y][times[c][b]]
+        top.append(y)
+    for o, c in enumerate(neg[:-1]):
+        row = times[c]
+        r = ([int(not o)] + [add[a][row[b]] for a, b in zip(r, top)])[:L]
+        rows.append(r)
+    spread = _block_tables(F)[0]
+    xs = [times[p ** b] for b in range(e)]  # x^b has code p^b
+    out = []
+    for r in rows + [top[:L]]:
+        blocks = [spread[x[y]] for y in r for x in xs]
+        out.extend([block[b] for block in blocks] for b in range(e))
+    return out
 
 
 def _index_array(rows, cols, F, s: int, n: int, code: str) -> array:

@@ -1,10 +1,12 @@
 """Tables shared by the test suite, the per-entry residue reference, the
-full relation system, the RatFunc reference for K[X], and the factor-based
-p-th root in F_q(t)."""
+column maps by shift-and-reduce, the Rabin filter of all monic candidates,
+the full relation system, the RatFunc reference for K[X], and the
+factor-based p-th root in F_q(t)."""
 
 from fqtlab import (FuncTable, RatFunc, crt, enumerate_monic_irreducibles,
-                    factor, irreducible_product, relations)
-from fqtlab.poly import Poly, poly_gcd, polys_up_to
+                    factor, irreducible_product, is_irreducible, relations)
+from fqtlab.poly import (Poly, _block_tables, _klen, _krem, _unpack2,
+                         monic_polys_of_degree, poly_gcd, polys_up_to)
 
 
 def forced_table(field, D, c1, rng):
@@ -65,6 +67,49 @@ def reference_residue_map(table):
         for col, r in zip(values, direct_indices(mods, v)):
             col.append(r)
     return tuple(mods), inputs, values
+
+
+# -- column maps by shift-and-reduce -----------------------------------------
+# The library builds certify's column maps by a recurrence on the top
+# coordinate of t^i mod P.  This is the routine it replaced: each column
+# x^b * t^i mod P is the one before it times t, reduced by one `_krem`.
+
+
+def shift_and_reduce_column_map(m, L, F):
+    """The rows of M_P for the kernel form m of P, on degree < L, as
+    `residues._column_map` lays them out, by L single-step reductions."""
+    e, p, q = F.e, F.p, F.q
+    d = _klen(m, F) - 1
+    by_b = []
+    for b in range(e):
+        # x^b has code p^b; a unit P leaves every residue 0
+        r, seq = _krem(1 if q == 2 else [p ** b], m, F), []
+        for _ in range(L):
+            seq.append(r)
+            r = _krem(r << 1 if q == 2 else [0] + list(r), m, F)
+        by_b.append(seq)
+    if q == 2:  # the coordinates are the bits
+        flat = b"".join([_unpack2(r).ljust(d, b"\0") for r in by_b[0]])
+    else:
+        flat = [c for i in range(L) for seq in by_b
+                for c in list(seq[i]) + [0] * (d - len(seq[i]))]
+        if e > 1:
+            spread = _block_tables(F)[0]
+            flat = [y for c in flat for y in spread[c][:e]]
+    return [flat[o::e * d] for o in range(e * d)]
+
+
+# -- the Rabin filter ---------------------------------------------------------
+# The library sieves out the products of smaller irreducibles and confirms
+# each survivor.  This is the enumeration it replaced: Rabin's test on every
+# monic candidate.
+
+
+def rabin_filter(field, d):
+    """The monic irreducibles of degree d, in canonical order, by
+    `is_irreducible` on all q^d monic candidates."""
+    return tuple(f for f in monic_polys_of_degree(field, d)
+                 if is_irreducible(f))
 
 
 # -- the full relation system ------------------------------------------------

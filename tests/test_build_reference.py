@@ -14,8 +14,9 @@ from collections import Counter
 
 import pytest
 
-from fqtlab import CRTBasis, FiniteField, Poly, build_counterexample
-from fqtlab import counterexample
+from fqtlab import (CRTBasis, FiniteField, Poly, build_counterexample,
+                    certify_counterexample)
+from fqtlab import counterexample, irreducibles
 from fqtlab import poly as poly_module
 from fqtlab.counterexample import ConstructionTrace, TraceRow, _step_table
 from fqtlab.functable import FuncTable
@@ -66,16 +67,21 @@ def test_build_matches_per_pair_reference(pe, D):
 
 
 def test_build_division_count(monkeypatch):
-    # With the irreducible caches empty, the (q=2, D=5) build divides 74
-    # times to enumerate its irreducibles: Rabin's test takes t mod f once
-    # for each of the 60 monic f of degree 2 to 5 and once more at the end
-    # for the 14 that pass its gcd checks (the 12 irreducibles and the two
-    # degree-5 products of a quadratic and a cubic); powmod reduces on
-    # kernel forms and makes no Poly division.  The build divides 158 times
+    # With the irreducible caches empty, the (q=2, D=5) build divides 24
+    # times to enumerate its irreducibles.  The sieve marks products of
+    # kernel forms and divides nothing, and Rabin's test confirms only its
+    # survivors, the 1 + 2 + 3 + 6 = 12 irreducibles of degree 2 to 5 (one
+    # of degree 1 returns before any division): it takes t mod f once at
+    # the start and once at the end, 2 * 12 = 24; powmod reduces on kernel
+    # forms and makes no Poly division.  (Rabin's test on all 60 monic
+    # candidates of degree 2 to 5 divided 60 + 14 = 74 times: the 14 that
+    # passed its gcd checks were the 12 irreducibles and the two degree-5
+    # products of a quadratic and a cubic.)  The build divides 158 times
     # for its five CRT bases: one M // P and one C % P per modulus,
     # 2 * (2 + 3 + 5 + 8 + 14) = 64, and 94 in the xgcds for the inverses.
-    # That is 74 + (64 + 94) = 232 Poly divisions.  poly_gcd runs on packed
-    # ints and makes no Poly division.  Its 62 rows hold 632 (row, modulus)
+    # That is 24 + (64 + 94) = 182 Poly divisions (it was 232 with the
+    # Rabin filter).  poly_gcd runs on packed ints and makes no Poly
+    # division.  Its 62 rows hold 632 (row, modulus)
     # pairs, 264 of them distinct: each b mod P is a step-table look-up, no
     # division (it was 632 divisions), and each level's batch reduces every
     # value it needs mod the new moduli by linear maps, no division, so no
@@ -126,13 +132,39 @@ def test_build_division_count(monkeypatch):
     pairs = [(p, rp) for row in trace.rows for p, rp in row.residue_pairs]
     assert len(trace.rows) == 62 and len(pairs) == 632
     assert len({(p.coeffs, rp.coeffs) for p, rp in pairs}) == 264
-    assert len(calls) == 74 + (64 + 94) == 232
+    assert len(calls) == 24 + (64 + 94) == 182
     assert len(reductions) == 0
     # keyed by deg M, the degree sum of the level: 2, 4, 10, 22, 52
     assert misses == {2: 2, 4: 4, 10: 12, 22: 36, 52: 100}
     triples = {(row.b.deg, p.coeffs, (table.lookup(rp) % p).coeffs)
                for row in trace.rows for p, rp in row.residue_pairs}
     assert sum(misses.values()) == len(triples) == 154
+
+
+def test_build_and_certify_test_each_modulus_once(monkeypatch):
+    # with the irreducible caches empty, the (q=2, D=5) build and its
+    # certification call Rabin's test once per modulus, on the sieve's
+    # survivors: N_1 + ... + N_5 = 2 + 1 + 2 + 3 + 6 = 14 calls, where the
+    # Rabin filter made one per monic candidate, 2 + 4 + ... + 32 = 62
+    for cached in (enumerate_monic_irreducibles, irreducible_product,
+                   count_irreducibles):
+        cached.cache_clear()
+    tested = []
+    rabin = irreducibles.is_irreducible
+
+    def counting_rabin(f):
+        tested.append(f)
+        return rabin(f)
+
+    monkeypatch.setattr(irreducibles, "is_irreducible", counting_rabin)
+    F = FiniteField(2)
+    table, trace = build_counterexample(F, 5)
+    assert certify_counterexample(table, trace).ok
+    moduli = [p for d in range(1, 6)
+              for p in enumerate_monic_irreducibles(F, d)]
+    assert len(tested) == sum(count_irreducibles(2, d)
+                              for d in range(1, 6)) == 14
+    assert sorted(tested) == sorted(moduli)
 
 
 @pytest.mark.parametrize("q, D", [(2, 5), (3, 3), (4, 3)])

@@ -6,6 +6,9 @@ from fqtlab import (BudgetExceeded, FiniteField, Poly, count_irreducibles,
                     degree_sum, enumerate_monic_irreducibles,
                     irreducible_product, is_irreducible,
                     monic_polys_of_degree, product_identity_check)
+from fqtlab import irreducibles
+
+from helpers import rabin_filter
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -33,6 +36,53 @@ def test_counts_match_enumeration():
             assert len(polys) == count_irreducibles(field.q, d) == brute_count(field, d)
             assert list(polys) == sorted(polys, key=Poly.sort_key)
             assert all(p.monic() == p and p.deg == d for p in polys)
+
+
+# every degree d with q^d <= 4096 over these fields
+SIEVE_FIELDS = [FiniteField(2), F3, FiniteField(5), FiniteField(7), F4,
+                FiniteField(3, 2)]
+SIEVE_IDS = ["F2", "F3", "F5", "F7", "F4", "F9"]
+
+
+def sieve_degrees(field):
+    return [d for d in range(1, 13) if field.q ** d <= 4096]
+
+
+@pytest.mark.parametrize("field", SIEVE_FIELDS, ids=SIEVE_IDS)
+def test_sieve_matches_rabin_filter(field):
+    # the sieve leaves what Rabin's test on every monic candidate keeps,
+    # in the same order, and as many as the Moebius count
+    for d in sieve_degrees(field):
+        polys = enumerate_monic_irreducibles(field, d)
+        assert polys == rabin_filter(field, d)
+        assert len(polys) == count_irreducibles(field.q, d)
+
+
+@pytest.fixture
+def empty_caches():
+    irreducibles.enumerate_monic_irreducibles.cache_clear()
+    yield
+    irreducibles.enumerate_monic_irreducibles.cache_clear()
+
+
+def test_sieve_confirms_every_survivor(monkeypatch, empty_caches):
+    # Rabin's test sees each survivor once, and the enumeration raises
+    # when it rejects one (here t^3 + t^2 + 1, the second cubic over F_2)
+    F2 = FiniteField(2)
+    seen = []
+    rejected = Poly(F2, [1, 0, 1, 1])
+
+    def rabin(f):
+        seen.append(f)
+        return f != rejected and is_irreducible(f)
+
+    monkeypatch.setattr(irreducibles, "is_irreducible", rabin)
+    assert enumerate_monic_irreducibles(F2, 2) == (Poly(F2, [1, 1, 1]),)
+    assert seen == list(enumerate_monic_irreducibles(F2, 1)) + [
+        Poly(F2, [1, 1, 1])]
+    with pytest.raises(AssertionError, match="reducible"):
+        enumerate_monic_irreducibles(F2, 3)
+    assert seen[-2:] == [Poly(F2, [1, 1, 0, 1]), rejected]
 
 
 def test_degree_sum_frozen():
