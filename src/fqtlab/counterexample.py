@@ -34,9 +34,9 @@ check against one Poly division per residue.
 Every step is recorded in a trace so the whole table can be re-derived and
 audited entry by entry.  Certification builds the table's ResidueMap once:
 the congruence check and the trace replay's residue and congruence checks
-both read it, so no residue is computed twice.  Only a trace row that
-leaves the map (an input past D, or a value the table does not hold) is
-reduced directly.
+both read it, so no residue is computed twice.  A trace row whose input is
+outside the table fails the replay; only a row value the table does not
+hold is reduced directly.
 """
 
 from __future__ import annotations
@@ -220,6 +220,9 @@ def certify_counterexample(table: FuncTable,
         expected_b = next(seen, None)
         if expected_b != b:
             trace_failures.append("row for %s out of construction order" % b)
+        if b.field != field or b.deg > table.D:
+            trace_failures.append("row %s: input outside the table" % b)
+            continue
         n = b.deg
         while level < n:
             level += 1
@@ -230,42 +233,31 @@ def certify_counterexample(table: FuncTable,
         if [p for p, _ in row.residue_pairs] != irreds:
             trace_failures.append("row %s: irreducible list mismatch" % b)
             continue
-        # Up to level D the row's moduli are the first ones of the map, so
-        # residues of b, b's value and rp come from it; past that, or for a
-        # b from another field, they are reduced directly.
-        kb = b.index() if level <= table.D and b.field == field else None
-        mapped_value = kb is not None and table.lookup(b) == row.value
-        bad = False
+        # the row's moduli are the first ones of the map, so the residues of
+        # b, of b's value and of rp all come from it; the build shares the
+        # domain's Poly objects, so a residue is tested by identity first
+        kb = b.index()
+        mapped_value = table.lookup(b) == row.value
         for i, (p, rp) in enumerate(row.residue_pairs):
-            if kb is None:
-                wrong = rp != b % p
-            else:
-                kr = residues.inputs[i][kb]
-                wrong = rp != domain[kr]
-            if wrong:
+            kr = residues.inputs[i][kb]
+            if rp is not domain[kr] and rp != domain[kr]:
                 trace_failures.append("row %s: residue of input mod %s wrong"
                                       % (b, p))
-                bad = True
                 break
-            if kb is None:
-                congruent = row.value % p == table.lookup(rp) % p
-            else:
-                vals = residues.values[i]
-                congruent = vals[kr] == (vals[kb] if mapped_value
-                                         else (row.value % p).index())
-            if not congruent:
+            vals = residues.values[i]
+            if vals[kr] != (vals[kb] if mapped_value
+                            else (row.value % p).index()):
                 trace_failures.append("row %s: value not congruent to value "
                                       "at %s mod %s" % (b, rp, p))
-                bad = True
                 break
-        if bad:
-            continue
-        if not row.crt_value.deg < row.modulus.deg:
-            trace_failures.append("row %s: CRT lift too large" % b)
-        if row.crt_value + row.modulus != row.value:
-            trace_failures.append("row %s: value is not lift + modulus" % b)
-        if table.lookup(b) != row.value:
-            trace_failures.append("row %s: table disagrees with trace" % b)
+        else:
+            if not row.crt_value.deg < row.modulus.deg:
+                trace_failures.append("row %s: CRT lift too large" % b)
+            if row.crt_value + row.modulus != row.value:
+                trace_failures.append("row %s: value is not lift + modulus"
+                                      % b)
+            if not mapped_value:
+                trace_failures.append("row %s: table disagrees with trace" % b)
 
     ok = p3.ok and not window_failures and not trace_failures
     return CertifyReport(ok=ok,

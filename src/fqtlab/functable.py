@@ -278,6 +278,8 @@ def verify_p3(table: FuncTable, max_violations: int = 100,
     scan reads `residues`, the table's ResidueMap, and builds it when none is
     given.
     """
+    if max_violations < 0:
+        raise ValueError("max_violations must be >= 0")
     if residues is None:
         residues = ResidueMap(table)
     field = table.field

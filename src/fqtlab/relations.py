@@ -20,10 +20,10 @@ object is re-verified by direct evaluation, never trusted from the solver.
 find_relation builds its system only from witness entries: it solves on the
 rows it has, evaluates the candidate on the whole table, and adds the rows
 of the first entry the candidate fails.  Its budget is judged on the full
-system, counted from degrees before any product.  Both whole-table checks,
-a candidate's and the recovered map's, run on packed forms
-(`_vanishing_scan`): Kronecker ints over odd p, with slots sized by the
-value at t = 1, and bit-packed forms over GF(2).
+system, counted from degrees before any product.  The three whole-table
+checks, a candidate's, the recovered map's and fit's holdout, run on
+packed forms (`_vanishing_scan`): Kronecker ints over odd p, with slots
+sized by the value at t = 1, and bit-packed forms over GF(2).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 
 from .errors import (DEFAULT_MATRIX_BUDGET, BudgetExceeded,
                      ExactDivisionError)
@@ -106,8 +107,8 @@ def _evaluate_slices(slices, x: Poly, y: Poly) -> Poly:
 
 def _vanishing_scan(entries, F):
     """The whole-table check on a list of (A, f(A)) entries over F: called
-    with Y-slices (slices[k][j] in F_q[t] multiplies X^j Y^k), it returns
-    the first entry, in order, where sum_k P_k(A) f(A)^k != 0, or None.
+    with Y-slices (slices[k][j] in F_q[t] multiplies X^j Y^k), it yields
+    every entry, in order, where sum_k P_k(A) f(A)^k != 0.
 
     Each call runs the nested Horner of `_evaluate_slices` on packed forms:
     over GF(2) the bit-packed kernel forms, multiplied by `_mul2` and added
@@ -116,12 +117,13 @@ def _vanishing_scan(entries, F):
     t = 1, which is at most sum P_jk(1) x1^j y1^k with x1 and y1 the
     entries' largest coefficient sums; the slots are sized from that.  An
     entry is packed when a call first reaches it, and packed again only
-    when a call needs wider slots.  Extension fields evaluate each entry
-    directly.
+    when a call needs wider slots; the calls share those forms, so a caller
+    advances only the latest call's generator.  Extension fields evaluate
+    each entry directly.
     """
     if F.e > 1:
-        return lambda slices: next(
-            (e for e in entries if _evaluate_slices(slices, *e)), None)
+        return lambda slices: (e for e in entries
+                               if _evaluate_slices(slices, *e))
     codes = [(a._k, v._k) for a, v in entries]
     if F.p == 2:
         def scan(slices):
@@ -134,8 +136,7 @@ def _vanishing_scan(entries, F):
                         inner = _mul2(inner, x) ^ c if inner else c
                     acc = _mul2(acc, y) ^ inner if acc else inner
                 if acc:
-                    return e
-            return None
+                    yield e
         return scan
     p = F.p
     x1 = max(sum(x) for x, _ in codes)
@@ -169,8 +170,7 @@ def _vanishing_scan(entries, F):
             n = -(-acc.bit_length() // (8 * width))  # the slots acc fills
             if any(_kron_slots(acc.to_bytes(n * width, "little"),
                                width, n, p)):
-                return e
-        return None
+                yield e
     return scan
 
 
@@ -263,7 +263,7 @@ def find_relation(table: FuncTable, bounds: TriDegreeBounds,
         if vec is None:
             return None
         rel = RelationQ(bounds=bounds, coeffs=tuple(vec))
-        witness = scan(rel.y_slices(field))
+        witness = next(scan(rel.y_slices(field)), None)
         if witness is None:
             return rel
         if witness[0] in witnesses:
@@ -552,18 +552,22 @@ def fit_polynomial(points, B: int, max_mismatches: int = 10,
                    budget: int = DEFAULT_MATRIX_BUDGET) -> FitReport:
     """Interpolate degree <= B through the first B+1 points, then judge it.
 
-    Reports whether the interpolant matches every remaining point and whether
-    all its values on the given inputs land in F_q[t] rather than properly
-    in K.  The budget rule is the cost of solving the (B+1)-square
-    Vandermonde system over K, whose entries x^j reach t-degree
-    B * max deg x: (B+1)^3 entry updates of up to B * max deg x + 1
-    coefficients each, checked before interpolating.  Interpolation now runs
-    in F_q[t] in O(B^2) Poly operations, so the rule overstates its cost;
-    raising it waits on timings (ROADMAP: "fit budget from timings").
+    Reports whether the interpolant N(X)/d matches every point (x, y), by
+    one `_vanishing_scan` with the Y-slices [N, -d], the first
+    max_mismatches x where it does not, and whether all its values land in
+    F_q[t] rather than properly in K.  The budget rule is the cost of
+    solving the (B+1)-square Vandermonde system over K, whose entries x^j
+    reach t-degree B * max deg x: (B+1)^3 entry updates of up to
+    B * max deg x + 1 coefficients each, checked before interpolating.
+    Interpolation now runs in F_q[t] in O(B^2) Poly operations, so the rule
+    overstates its cost; raising it waits on timings (ROADMAP: "fit budget
+    from timings").
     """
     points = list(points)
     if B < 0:
         raise ValueError("B must be >= 0")
+    if max_mismatches < 0:
+        raise ValueError("max_mismatches must be >= 0")
     if len(points) < B + 1:
         raise ValueError("need at least B+1 points")
     dx = max(max(x.deg, 0) for x, _ in points[:B + 1])
@@ -571,19 +575,14 @@ def fit_polynomial(points, B: int, max_mismatches: int = 10,
         raise BudgetExceeded("interpolation through %d points exceeds %d "
                              "matrix entry updates" % (B + 1, budget))
     nums, d = _interpolate(points[:B + 1])
-    # the interpolant is N(X)/d: its value at x lies in F_q[t] iff d | N(x),
-    # and equals y iff N(x) = d*y
-    mism = []
-    in_ring = True
-    for x, y in points:
-        val = _horner(nums, x)
-        if in_ring and d.deg > 0 and not (val % d).is_zero():
-            in_ring = False
-        if len(mism) < max_mismatches and val != d * y:
-            mism.append(x)
+    fails = _vanishing_scan(points, points[0][0].field)([nums, [-d]])
+    mism = tuple(x for x, _ in islice(fails, max_mismatches))
+    # a value N(x)/d lies in F_q[t] iff d | N(x), always when d = 1
+    in_ring = d.deg <= 0 or all((_horner(nums, x) % d).is_zero()
+                                for x, _ in points)
     return FitReport(coeffs=_coefficients(nums, d), degree_cap=B,
-                     holdout_ok=not mism, mismatches=tuple(mism),
-                     values_in_ring=in_ring)
+                     holdout_ok=not mism and next(fails, None) is None,
+                     mismatches=mism, values_in_ring=in_ring)
 
 
 # -- vanishing criterion --------------------------------------------------------
@@ -716,8 +715,8 @@ def _reproduces(nums, d: Poly, table: FuncTable) -> bool:
     of the table with the Y-slices [N, -d], on packed forms, with no Poly
     built and no normalisation in K per entry.
     """
-    return _vanishing_scan(list(table.items()), table.field)(
-        [nums, [-d]]) is None
+    return next(_vanishing_scan(list(table.items()), table.field)(
+        [nums, [-d]]), None) is None
 
 
 def run_pipeline(table: FuncTable, bounds: TriDegreeBounds, u: Poly, N: int,

@@ -77,6 +77,11 @@ def reference_certify(table, trace):
         expected_b = next(seen, None)
         if expected_b != b:
             trace_failures.append("row for %s out of construction order" % b)
+        try:
+            table.lookup(b)
+        except TableDomainError:
+            trace_failures.append("row %s: input outside the table" % b)
+            continue
         n = b.deg
         while level < n:
             level += 1
@@ -177,6 +182,9 @@ def corruptions(table, trace):
     yield "residue outside the domain", table, with_row(
         trace, last, residue_pairs=with_pair(
             rows[last], 0, t ** (table.D + 1)))
+    # a row input the table does not hold, of a degree it does hold
+    yield "input of another field", table, with_row(
+        trace, last, b=Poly.from_index(FiniteField(7), rows[last].b.index()))
     yield "modulus times t", table, with_row(
         trace, 0, modulus=rows[0].modulus * t)
     yield "moduli dropped", table, with_row(
@@ -203,31 +211,35 @@ def test_certify_report_matches_reference(built):
 
 
 def test_certify_matches_reference_on_rows_past_the_table():
-    # rows past the table's D are reduced directly, and their inputs are
-    # outside the table: a row that passes every congruence makes both
-    # versions raise on the same lookup, a row that fails one does not
+    # a row whose input is past the table's D, clean or not, fails once as
+    # outside the table, after failing the construction order
     table, trace = build_counterexample(FiniteField(2), 2)
     _, deeper = build_counterexample(FiniteField(2), 3)
     extra = deeper.rows[len(trace.rows)]
     one = Poly.one(table.field)
-    for changes, failure in (
-            ({}, None),
-            ({"value": extra.value + one}, "not congruent"),
-            ({"residue_pairs": with_pair(extra, 0, extra.residue_pairs[0][1]
-                                         + one)}, "residue of input")):
+    for changes in (
+            {}, {"value": extra.value + one},
+            {"residue_pairs": with_pair(extra, 0, extra.residue_pairs[0][1]
+                                        + one)}):
         longer = with_row(ConstructionTrace(D=trace.D,
                                             rows=trace.rows + (extra,)),
                           len(trace.rows), **changes)
-        if failure is None:
-            with pytest.raises(TableDomainError) as ref:
-                reference_certify(table, longer)
-            with pytest.raises(TableDomainError) as got:
-                certify_counterexample(table, longer)
-            assert str(got.value) == str(ref.value)
-        else:
-            got = certify_counterexample(table, longer)
-            assert got == reference_certify(table, longer)
-            assert failure in got.trace_failures[-1]
+        got = certify_counterexample(table, longer)
+        assert got == reference_certify(table, longer)
+        assert got.trace_failures[-2:] == (
+            "row for %s out of construction order" % extra.b,
+            "row %s: input outside the table" % extra.b)
+    # the (2, 3) table against the (2, 4) trace: each of its 16 rows of
+    # degree 4 fails so, and nothing raises
+    table, _ = build_counterexample(FiniteField(2), 3)
+    _, deeper = build_counterexample(FiniteField(2), 4)
+    got = certify_counterexample(table, deeper)
+    assert got == reference_certify(table, deeper)
+    assert got.congruence_ok and got.window_ok and not got.ok
+    assert got.trace_failures[2:] == tuple(
+        f for row in deeper.rows[len(deeper.rows) - 16:]
+        for f in ("row for %s out of construction order" % row.b,
+                  "row %s: input outside the table" % row.b))
 
 
 def tampered_tables(table, rng):
@@ -251,6 +263,10 @@ def test_verify_p3_report_matches_reference(built):
             got = verify_p3(tab, max_violations=cap)
             assert got == reference_verify_p3(tab, max_violations=cap)
             assert got.truncated == (got.violation_count > cap)
+    # a cap of 0 counts every violation and lists none; a negative one, which
+    # would drop the last, is refused
+    with pytest.raises(ValueError, match="max_violations must be >= 0"):
+        verify_p3(tab, max_violations=-1)
 
 
 @pytest.mark.parametrize("field", [FiniteField(2), FiniteField(3),

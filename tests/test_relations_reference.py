@@ -36,6 +36,8 @@ def reference_step(recovered, table):
 
 
 def reference_fit(points, B, max_mismatches=10):
+    if max_mismatches < 0:
+        raise ValueError("max_mismatches must be >= 0")
     points = list(points)
     coeffs = lagrange_interpolate(points[:B + 1])
     mism = []
@@ -44,10 +46,11 @@ def reference_fit(points, B, max_mismatches=10):
         val = kpoly_eval(coeffs, RatFunc.from_poly(x))
         if not val.is_poly():
             in_ring = False
-        if val != RatFunc.from_poly(y) and len(mism) < max_mismatches:
+        if val != RatFunc.from_poly(y):
             mism.append(x)
     return FitReport(coeffs=coeffs, degree_cap=B, holdout_ok=not mism,
-                     mismatches=tuple(mism), values_in_ring=in_ring)
+                     mismatches=tuple(mism[:max_mismatches]),
+                     values_in_ring=in_ring)
 
 
 def polymap_table(field, D, rng, k=3):
@@ -112,9 +115,15 @@ def test_fit_matches_reference_on_seeded_tables(pe, D):
     for tab in (table, bad):
         points = list(tab.items())
         for B in range(5):
-            assert fit_polynomial(points, B) == reference_fit(points, B)
+            # the holdout fails on any mismatch; a cap only truncates the list
+            for cap in (0, 1, 3, 10):
+                assert (fit_polynomial(points, B, cap)
+                        == reference_fit(points, B, cap))
     assert fit_polynomial(table.items(), 3).holdout_ok
-    assert not fit_polynomial(bad.items(), 3).holdout_ok
+    assert not fit_polynomial(bad.items(), 3, 0).holdout_ok
+    for fit in (fit_polynomial, reference_fit):
+        with pytest.raises(ValueError, match="max_mismatches must be >= 0"):
+            fit(bad.items(), 3, -1)
 
 
 @pytest.mark.parametrize("pe", [(2, 1), (3, 1), (2, 2)])

@@ -2,10 +2,11 @@
 evaluation.
 
 The oracle is `relations._evaluate_slices`, a Poly-level nested Horner on
-one entry at a time: the scan's witness must be the first entry where it is
-nonzero, for every call of one prepared scan.  `_reproduces`, which scans
-with the slices [N, -d], must agree with `reference_reproduces`, the
-RatFunc evaluation in K.
+one entry at a time: the scan must yield every entry where it is nonzero,
+in order, and its first (`next(scan(slices), None)`) is the witness, for
+every call of one prepared scan.  `_reproduces`, which scans with the
+slices [N, -d], must agree with `reference_reproduces`, the RatFunc
+evaluation in K.
 """
 
 import random
@@ -13,7 +14,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqtlab import FiniteField, FuncTable, Poly, TriDegreeBounds, run_pipeline
+from fqtlab import (FiniteField, FuncTable, Poly, TriDegreeBounds,
+                    fit_polynomial, run_pipeline)
 from fqtlab import poly as poly_module, relations
 from test_relations_reference import reference_reproduces
 
@@ -22,9 +24,13 @@ _FIELDS = {p: (FiniteField(p), top) for p, top in ((2, 4), (3, 3), (5, 2),
                                                     (7, 1))}
 
 
+def failing(entries, slices):
+    return [(a, v) for a, v in entries
+            if relations._evaluate_slices(slices, a, v)]
+
+
 def oracle(entries, slices):
-    return next(((a, v) for a, v in entries
-                 if relations._evaluate_slices(slices, a, v)), None)
+    return next(iter(failing(entries, slices)), None)
 
 
 def widths(monkeypatch):
@@ -93,7 +99,8 @@ def test_scan_matches_direct_evaluation(case):
     entries = list(table.items())
     scan = relations._vanishing_scan(entries, table.field)
     for slices in calls:  # one prepared scan serves every call
-        assert scan(slices) == oracle(entries, slices)
+        assert next(scan(slices), None) == oracle(entries, slices)
+        assert list(scan(slices)) == failing(entries, slices)
     assert (relations._reproduces(nums, d, table)
             == reference_reproduces(relations._coefficients(nums, d), table))
 
@@ -119,9 +126,9 @@ def test_scan_with_wide_slots(monkeypatch, p, wide):
     for ents in (entries, bad):
         scan = relations._vanishing_scan(ents, field)
         for slices in (rel, square, rel):
-            assert scan(slices) == oracle(ents, slices)
-    assert relations._vanishing_scan(entries, field)(rel) is None
-    assert relations._vanishing_scan(bad, field)(rel) == bad[5]
+            assert next(scan(slices), None) == oracle(ents, slices)
+    assert next(relations._vanishing_scan(entries, field)(rel), None) is None
+    assert next(relations._vanishing_scan(bad, field)(rel), None) == bad[5]
     assert min(seen) >= wide
 
 
@@ -146,19 +153,23 @@ def test_slots_at_the_bound_edges(monkeypatch, p, c0, c1, low, high, width):
     assert not relations._evaluate_slices(slices, *vanishing)
     assert relations._evaluate_slices(slices, *witness)
     seen = widths(monkeypatch)
-    assert relations._vanishing_scan([vanishing, witness], field)(
-        slices) == witness
+    assert next(relations._vanishing_scan([vanishing, witness], field)(
+        slices), None) == witness
     assert set(seen) == {width}
-    assert relations._vanishing_scan([vanishing], field)(slices) is None
+    assert next(relations._vanishing_scan([vanishing], field)(slices),
+                None) is None
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_scans_make_no_poly_products(monkeypatch, p):
-    # count Poly products and kernel products made inside the scans that
-    # find_relation and _reproduces run, and everywhere else
+    # count Poly products and kernel products made while the scans that
+    # find_relation, _reproduces and fit_polynomial's holdout run are being
+    # iterated, and everywhere else
     field = FiniteField(p)
     t, one = Poly.gen(field), Poly.one(field)
     table = FuncTable.from_polymap(field, 4, [t + one, t, t + one, one])
+    last = Poly.from_index(field, p ** 5 - 1)
+    bad = table.with_value(last, table.lookup(last) + one)
     counts = {"inside": 0, "outside": 0}
     state = {"scans": 0, "in_scan": False}
 
@@ -171,11 +182,16 @@ def test_scans_make_no_poly_products(monkeypatch, p):
     def scanning(f):
         def spy(*args):
             state["scans"] += 1
-            state["in_scan"] = True
-            try:
-                return f(*args)
-            finally:
-                state["in_scan"] = False
+            fails = iter(f(*args))
+            while True:
+                state["in_scan"] = True
+                try:
+                    e = next(fails, None)
+                finally:
+                    state["in_scan"] = False
+                if e is None:
+                    return
+                yield e
         return spy
 
     prepare = relations._vanishing_scan
@@ -186,6 +202,10 @@ def test_scans_make_no_poly_products(monkeypatch, p):
     rep = run_pipeline(table, TriDegreeBounds(1, 3, 1), t, 3)
     assert rep.ok and rep.reproduces_table
     # one scan per candidate (five here) and one for the recovered map
-    assert state["scans"] >= 6
+    scans = state["scans"]
+    assert scans >= 6
+    fit = fit_polynomial(bad.items(), 3)
+    assert not fit.holdout_ok and fit.mismatches == (last,)
+    assert state["scans"] == scans + 1  # the holdout is one scan
     assert counts["inside"] == 0
     assert counts["outside"] > 0  # the spies see the solves
