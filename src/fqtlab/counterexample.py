@@ -220,7 +220,7 @@ def certify_counterexample(table: FuncTable,
         expected_b = next(seen, None)
         if expected_b != b:
             trace_failures.append("row for %s out of construction order" % b)
-        if b.field != field or b.deg > table.D:
+        if (b.field is not field and b.field != field) or b.deg > table.D:
             trace_failures.append("row %s: input outside the table" % b)
             continue
         n = b.deg

@@ -85,7 +85,8 @@ class FuncTable:
         # the q^(D+1) distinct keys of degree <= D fill the domain's indices
         entries = [None] * len(values)
         for a, v in values.items():
-            if a.field != field or v.field != field:
+            if (a.field is not field and a.field != field
+                    or v.field is not field and v.field != field):
                 raise ValueError("table entries from a different field")
             if not (a.deg is NEG_INF or a.deg <= D):
                 raise ValueError("key %s outside degree bound %d" % (a, D))

@@ -186,7 +186,7 @@ def index_arrays(moduli, xs, code: str) -> list:
     moduli = _nonzero_moduli(moduli)
     F = moduli[0].field
     xs = list(xs)
-    if any(x.field != F for x in moduli + xs):
+    if any(x.field is not F and x.field != F for x in moduli + xs):
         raise ValueError("mixed-field polynomial operation")
     forms = [x._k for x in xs]
     top = sum(P.deg for P in moduli)  # deg M, M the product of the moduli

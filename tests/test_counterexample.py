@@ -1,5 +1,6 @@
 """The CRT-built table with forced value growth, and its certifier."""
 
+import dataclasses
 import random
 
 import pytest
@@ -95,6 +96,24 @@ def test_certify_flags_wrong_length_trace():
     short = type(trace)(D=trace.D, rows=trace.rows[:-1])
     rep = certify_counterexample(tab, short)
     assert not rep.trace_ok
+
+
+def test_certify_replays_rows_from_an_equal_field_flags_another():
+    # the field check tests identity first; trace inputs over an equal field
+    # object that is not the table's own still replay, over F_3 they do not
+    tab, trace = build_counterexample(F2, 2)
+
+    def certify_inputs_over(field):
+        rows = tuple(dataclasses.replace(r, b=Poly(field, r.b.coeffs))
+                     for r in trace.rows)
+        return certify_counterexample(tab, type(trace)(D=trace.D, rows=rows))
+
+    assert certify_inputs_over(FiniteField(2)).ok
+    rep = certify_inputs_over(F3)
+    assert not rep.trace_ok
+    for row in trace.rows:
+        assert ("row %s: input outside the table" % Poly(F3, row.b.coeffs)
+                in rep.trace_failures)
 
 
 def test_build_budget():

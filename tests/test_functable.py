@@ -31,6 +31,21 @@ def test_lookup_and_domain():
         tab.lookup(Poly(F2, [0, 0, 0, 0, 1]))
 
 
+def test_entries_from_an_equal_field_are_kept_from_another_refused():
+    # the field check tests identity first; an equal field object that is
+    # not the table's own still passes, and a different field does not
+    values = {a: a * a for a in polys_up_to(F2, 2)}
+    twin = FiniteField(2)
+    recast = {Poly(twin, a.coeffs): Poly(twin, v.coeffs)
+              for a, v in values.items()}
+    assert FuncTable(F2, 2, recast) == FuncTable(F2, 2, values)
+    for key, value in ((Poly(F3, t.coeffs), t * t), (t, Poly(F3, [0, 0, 1]))):
+        mixed = {a: v for a, v in values.items() if a != t}
+        mixed[key] = value
+        with pytest.raises(ValueError, match="different field"):
+            FuncTable(F2, 2, mixed)
+
+
 @pytest.mark.parametrize("field, D", [(F2, 3), (F3, 2), (F4, 2)],
                          ids=["F2", "F3", "F4"])
 def test_items_walk_the_domain_in_canonical_order(field, D):

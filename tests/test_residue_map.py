@@ -19,6 +19,7 @@ import fqtlab.residues as residues
 from fqtlab import (FiniteField, Poly, build_counterexample,
                     enumerate_monic_irreducibles)
 from fqtlab.functable import FuncTable, ResidueMap
+from fqtlab.poly import polys_up_to
 
 from helpers import reference_residue_map
 
@@ -64,6 +65,22 @@ def assert_matches_reference(table, reference=None):
     assert got.moduli == mods
     assert [list(col) for col in got.inputs] == inputs
     assert [list(col) for col in got.values] == values
+
+
+def test_index_arrays_take_an_equal_field_refuse_another():
+    # the field check tests identity first; an equal field object that is
+    # not the moduli's own still passes, and a different field does not
+    F2, F3 = FiniteField(2), FiniteField(3)
+    moduli = moduli_up_to(F2, 3)
+    xs = list(polys_up_to(F2, 4))
+    twin = [Poly(FiniteField(2), x.coeffs) for x in xs]
+    assert ([list(col) for col in residues.index_arrays(moduli, twin, "B")]
+            == [list(col) for col in residues.index_arrays(moduli, xs, "B")])
+    stray = Poly(F3, [0, 1])
+    with pytest.raises(ValueError, match="mixed-field"):
+        residues.index_arrays(moduli, xs + [stray], "B")
+    with pytest.raises(ValueError, match="mixed-field"):
+        residues.index_arrays(moduli + [stray], xs, "B")
 
 
 @pytest.mark.parametrize("field, D", FIELDS, ids=IDS)
